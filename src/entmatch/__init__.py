@@ -40,7 +40,6 @@ from .corpus import (
     ParseError,
     Source,
     TagScheme,
-    Token,
     build_document,
     iob2_tags,
     pair_corpora,

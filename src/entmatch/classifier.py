@@ -27,6 +27,14 @@ _MAGIC = b"ENTMATCH-CLS1"
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+_HEADER_FIELDS = (
+    ("format_version", int),
+    ("labels", list),
+    ("buckets", int),
+    ("seed", int),
+    ("epochs", int),
+    ("learning_rate", (int, float)),
+)
 
 
 class Verdict(Enum):
@@ -126,36 +134,53 @@ class ClassifierModel:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ClassifierModel":
+        """Rebuild a model; any defect in the file raises ``ParseError``."""
         prefix = _MAGIC + b"\n"
         if not blob.startswith(prefix):
-            raise ValueError("not a serialized classifier model")
-        newline = blob.index(b"\n", len(prefix))
-        header = json.loads(blob[len(prefix):newline].decode("utf-8"))
+            raise ParseError("not a serialized classifier model")
+        newline = blob.find(b"\n", len(prefix))
+        if newline < 0:
+            raise ParseError("model header has no terminating newline")
+        try:
+            header = json.loads(blob[len(prefix):newline].decode("utf-8"))
+        except ValueError as exc:
+            raise ParseError(f"model header is not JSON: {exc}") from None
+        if not isinstance(header, dict):
+            raise ParseError("model header must be a JSON object")
+        for key, kind in _HEADER_FIELDS:
+            value = header.get(key)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ParseError(f"model header field {key!r} is missing or invalid")
+        if not all(isinstance(label, str) for label in header["labels"]):
+            raise ParseError("model header field 'labels' must hold strings")
         labels = tuple(header["labels"])
-        buckets = int(header["buckets"])
+        try:
+            config = TrainConfig(
+                seed=header["seed"],
+                epochs=header["epochs"],
+                learning_rate=float(header["learning_rate"]),
+                buckets=header["buckets"],
+            )
+        except ValueError as exc:
+            raise ParseError(f"invalid model header: {exc}") from None
+        buckets = config.buckets
         body = blob[newline + 1:]
         expected = (buckets * len(labels) + len(labels)) * 8
         if len(body) != expected:
-            raise ValueError(
+            raise ParseError(
                 f"model payload is {len(body)} bytes, expected {expected}"
             )
         weights = np.frombuffer(
             body[: buckets * len(labels) * 8], dtype="<f8"
         ).reshape(buckets, len(labels))
         bias = np.frombuffer(body[buckets * len(labels) * 8:], dtype="<f8")
-        config = TrainConfig(
-            seed=int(header["seed"]),
-            epochs=int(header["epochs"]),
-            learning_rate=float(header["learning_rate"]),
-            buckets=buckets,
-        )
         return cls(
             labels,
             buckets,
             weights.copy(),
             bias.copy(),
             config,
-            int(header["format_version"]),
+            header["format_version"],
         )
 
     def save(self, path: str | Path) -> None:
@@ -360,7 +385,11 @@ def write_decisions(decisions: Mapping[str, Decision], path: str | Path) -> None
 
 def read_decisions(path: str | Path) -> dict[str, Decision]:
     decisions: dict[str, Decision] = {}
-    decoded = Path(path).read_text(encoding="utf-8")
+    raw = Path(path).read_bytes()
+    try:
+        decoded = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"decision file is not valid UTF-8: {exc}") from None
     for line_no, line in enumerate(decoded.split("\n"), 1):
         if not line.strip():
             continue

@@ -256,6 +256,22 @@ def _load_corpus(path: str, fmt: str, scheme: str, source: Source) -> Corpus:
     return parse_iob(data, TagScheme(scheme), source)
 
 
+def _load_report(path: str, ledger: str | None) -> tuple[dict, MatchReport]:
+    """A run report and the match report of its ledger (or of ``ledger``)."""
+    try:
+        doc = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except ValueError as exc:
+        raise ParseError(f"report is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError("report must be a JSON object")
+    outputs = doc.get("outputs")
+    if not ledger and isinstance(outputs, dict):
+        ledger = outputs.get("ledger")
+    if not isinstance(ledger, str) or not ledger:
+        raise ValueError("report names no ledger; pass --ledger explicitly")
+    return doc, read_ledger(ledger)
+
+
 def _ledger_default(out: str) -> str:
     out_path = Path(out)
     return str(out_path.with_name(out_path.stem + ".ledger.jsonl"))
@@ -336,11 +352,7 @@ def _cmd_train_cls(args: argparse.Namespace) -> int:
 
 
 def _cmd_refine(args: argparse.Namespace) -> int:
-    doc = json.loads(Path(args.report).read_text("utf-8"))
-    ledger_path = args.ledger or doc.get("outputs", {}).get("ledger")
-    if not ledger_path:
-        raise ValueError("report names no ledger; pass --ledger explicitly")
-    report = read_ledger(ledger_path)
+    doc, report = _load_report(args.report, args.ledger)
     if args.model:
         model = ClassifierModel.load(args.model)
         decisions = decide_type5(model, report)
@@ -368,11 +380,7 @@ def _decisions_default(out: str) -> str:
 
 
 def _cmd_judge(args: argparse.Namespace) -> int:
-    doc = json.loads(Path(args.report).read_text("utf-8"))
-    ledger_path = args.ledger or doc.get("outputs", {}).get("ledger")
-    if not ledger_path:
-        raise ValueError("report names no ledger; pass --ledger explicitly")
-    report = read_ledger(ledger_path)
+    doc, report = _load_report(args.report, args.ledger)
     judgements = load_judgements(args.judgements, report)
     profiles = (
         [UserProfile(args.profile)]

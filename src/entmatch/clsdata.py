@@ -86,9 +86,9 @@ def _harvest_document(doc: Document, config: BuilderConfig) -> list[list[str]]:
     for m in doc.gold_entities:
         for i in range(m.start, m.end):
             inside[i] = True
+    sentence_starts = set(doc.sentence_starts)
     runs: list[list[str]] = []
     current: list[str] = []
-    prev_sent = None
 
     def flush() -> None:
         nonlocal current
@@ -96,20 +96,14 @@ def _harvest_document(doc: Document, config: BuilderConfig) -> list[list[str]]:
             runs.append(current)
             current = []
 
-    for token, covered in zip(doc.tokens, inside):
-        # a sentence change closes the run; the new token may still join one
-        if prev_sent is not None and token.sent_index != prev_sent:
+    for i, (token, covered) in enumerate(zip(doc.tokens, inside)):
+        # a sentence start closes the run; the new token may still join one
+        if i in sentence_starts:
             flush()
-        excluded = (
-            covered
-            or _is_punctuation(token.text)
-            or token.text.lower() in config.stopwords
-        )
-        if excluded:
+        if covered or _is_punctuation(token) or token.lower() in config.stopwords:
             flush()
         else:
-            current.append(token.text)
-        prev_sent = token.sent_index
+            current.append(token)
     flush()
     return runs
 

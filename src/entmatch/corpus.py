@@ -5,9 +5,10 @@ IOB1 tag schemes) and line-delimited JSON standoff files. Independently
 parsed gold and prediction corpora are paired into a single aligned
 corpus before matching.
 
-Token indices are the canonical coordinate system throughout; character
-offsets are derived by joining tokens with single spaces and carry no
-semantics of their own.
+A document holds what a standoff line holds: its token texts, the token
+indices where its sentences start, and its gold and predicted mentions.
+Positions are token indices throughout; a mention's surface text is
+its covered tokens joined by single spaces.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import logging
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 log = logging.getLogger(__name__)
@@ -47,22 +49,6 @@ class TagScheme(Enum):
 
 
 @dataclass(frozen=True)
-class Token:
-    text: str
-    doc_id: str
-    sent_index: int
-    token_index: int
-    char_start: int
-    char_end: int
-
-    def __post_init__(self):
-        if not self.text:
-            raise ValueError("token text must be non-empty")
-        if self.char_start >= self.char_end:
-            raise ValueError("token character span must be non-empty")
-
-
-@dataclass(frozen=True)
 class EntityMention:
     """A labelled token span; ``start``/``end`` are half-open token indices."""
 
@@ -89,8 +75,11 @@ class EntityMention:
 
 @dataclass
 class Document:
+    """One document; ``sentence_starts`` are the first token index of each sentence."""
+
     doc_id: str
-    tokens: list[Token]
+    tokens: tuple[str, ...]
+    sentence_starts: tuple[int, ...]
     gold_entities: list[EntityMention]
     pred_entities: list[EntityMention]
 
@@ -124,24 +113,9 @@ class Corpus:
 # document assembly helpers
 
 
-def _make_tokens(doc_id: str, sentences: Sequence[Sequence[str]]) -> list[Token]:
-    tokens: list[Token] = []
-    pos = 0
-    index = 0
-    for sent_i, sent in enumerate(sentences):
-        for text in sent:
-            start = pos if index == 0 else pos + 1
-            tokens.append(
-                Token(text, doc_id, sent_i, index, start, start + len(text))
-            )
-            pos = start + len(text)
-            index += 1
-    return tokens
-
-
 def mention_from_tokens(
     doc_id: str,
-    tokens: Sequence[Token],
+    tokens: Sequence[str],
     start: int,
     end: int,
     label: str,
@@ -153,11 +127,12 @@ def mention_from_tokens(
             f"span [{start}, {end}) outside document {doc_id!r} "
             f"bounds [0, {len(tokens)})"
         )
-    text = " ".join(t.text for t in tokens[start:end])
+    text = " ".join(tokens[start:end])
     return EntityMention(doc_id, start, end, label.strip(), text, source)
 
 
-def _check_flat(doc_id: str, mentions: Sequence[EntityMention], source: Source) -> None:
+def check_flat(doc_id: str, mentions: Sequence[EntityMention], source: Source) -> None:
+    """Reject overlapping mentions on one side of a document."""
     ordered = sorted(mentions, key=lambda m: (m.start, m.end))
     for a, b in zip(ordered, ordered[1:]):
         if b.start < a.end:
@@ -174,7 +149,11 @@ def build_document(
     pred: Iterable[tuple[int, int, str]] = (),
 ) -> Document:
     """Construct a document from sentence token texts and (start, end, label) spans."""
-    tokens = _make_tokens(doc_id, sentences)
+    tokens = tuple(text for sentence in sentences for text in sentence)
+    if not all(tokens):
+        raise ValueError("token text must be non-empty")
+    offsets = accumulate((len(sentence) for sentence in sentences), initial=0)
+    starts = tuple(start for start, sentence in zip(offsets, sentences) if sentence)
     gold_mentions = [
         mention_from_tokens(doc_id, tokens, s, e, lab, Source.GOLD)
         for s, e, lab in gold
@@ -183,11 +162,11 @@ def build_document(
         mention_from_tokens(doc_id, tokens, s, e, lab, Source.PREDICTED)
         for s, e, lab in pred
     ]
-    _check_flat(doc_id, gold_mentions, Source.GOLD)
-    _check_flat(doc_id, pred_mentions, Source.PREDICTED)
+    check_flat(doc_id, gold_mentions, Source.GOLD)
+    check_flat(doc_id, pred_mentions, Source.PREDICTED)
     gold_mentions.sort(key=lambda m: m.start)
     pred_mentions.sort(key=lambda m: m.start)
-    return Document(doc_id, tokens, gold_mentions, pred_mentions)
+    return Document(doc_id, tokens, starts, gold_mentions, pred_mentions)
 
 
 def _decode_bytes(content: bytes | str) -> str:
@@ -287,14 +266,11 @@ def _document_from_iob(
     scheme: TagScheme,
     source: Source,
 ) -> Document:
-    tokens = _make_tokens(doc_id, [[t for t, _, _ in s] for s in sentences])
+    texts = [[t for t, _, _ in s] for s in sentences]
     spans = _decode_tag_spans(sentences, scheme)
-    mentions = [
-        mention_from_tokens(doc_id, tokens, s, e, lab, source) for s, e, lab in spans
-    ]
-    gold = mentions if source is Source.GOLD else []
-    pred = mentions if source is Source.PREDICTED else []
-    return Document(doc_id, tokens, gold, pred)
+    if source is Source.GOLD:
+        return build_document(doc_id, texts, gold=spans)
+    return build_document(doc_id, texts, pred=spans)
 
 
 def _decode_tag_spans(
@@ -395,9 +371,7 @@ def _document_from_standoff(obj: object, line_no: int) -> Document:
         or any(s >= len(token_texts) for s in starts)
     ):
         raise ParseError("invalid 'sentence_starts'", line_no)
-    bounds = starts + [len(token_texts)]
-    sentences = [token_texts[a:b] for a, b in zip(bounds, bounds[1:])]
-    tokens = _make_tokens(doc_id, sentences)
+    tokens = tuple(token_texts)
 
     raw_entities = obj.get("entities")
     if not isinstance(raw_entities, list):
@@ -432,32 +406,27 @@ def _document_from_standoff(obj: object, line_no: int) -> Document:
         target = gold if source is Source.GOLD else pred
         target.append(mention_from_tokens(doc_id, tokens, start, end, label, source))
     try:
-        _check_flat(doc_id, gold, Source.GOLD)
-        _check_flat(doc_id, pred, Source.PREDICTED)
+        check_flat(doc_id, gold, Source.GOLD)
+        check_flat(doc_id, pred, Source.PREDICTED)
     except ParseError as exc:
         raise ParseError(str(exc), line_no) from None
     gold.sort(key=lambda m: m.start)
     pred.sort(key=lambda m: m.start)
-    return Document(doc_id, tokens, gold, pred)
+    return Document(doc_id, tokens, tuple(starts), gold, pred)
 
 
 def serialize_standoff(corpus: Corpus) -> str:
     """Serialize a corpus to line-delimited JSON standoff, one document per line."""
     lines = []
     for doc in corpus.documents:
-        starts = [
-            t.token_index
-            for prev, t in zip([None] + doc.tokens[:-1], doc.tokens)
-            if prev is None or t.sent_index != prev.sent_index
-        ]
         entities = [
             {"start": m.start, "end": m.end, "label": m.label, "source": m.source.value}
             for m in doc.gold_entities + doc.pred_entities
         ]
         obj = {
             "doc_id": doc.doc_id,
-            "tokens": [t.text for t in doc.tokens],
-            "sentence_starts": starts,
+            "tokens": list(doc.tokens),
+            "sentence_starts": list(doc.sentence_starts),
             "entities": entities,
         }
         lines.append(json.dumps(obj, ensure_ascii=False))
@@ -496,12 +465,14 @@ def pair_corpora(gold: Corpus, pred: Corpus) -> Corpus:
                 f"document {gdoc.doc_id!r}: token count differs "
                 f"({len(gdoc.tokens)} vs {len(pdoc.tokens)})"
             )
-        for i, (a, b) in enumerate(zip(gdoc.tokens, pdoc.tokens)):
-            if a.text != b.text:
-                raise AlignmentError(
-                    f"document {gdoc.doc_id!r}: token mismatch at index {i}: "
-                    f"{a.text!r} != {b.text!r}"
-                )
+        if gdoc.tokens != pdoc.tokens:
+            i = next(
+                i for i, (a, b) in enumerate(zip(gdoc.tokens, pdoc.tokens)) if a != b
+            )
+            raise AlignmentError(
+                f"document {gdoc.doc_id!r}: token mismatch at index {i}: "
+                f"{gdoc.tokens[i]!r} != {pdoc.tokens[i]!r}"
+            )
         gold_mentions = sorted(
             (
                 replace(m, source=Source.GOLD)
@@ -516,9 +487,15 @@ def pair_corpora(gold: Corpus, pred: Corpus) -> Corpus:
             ),
             key=lambda m: m.start,
         )
-        _check_flat(gdoc.doc_id, gold_mentions, Source.GOLD)
-        _check_flat(gdoc.doc_id, pred_mentions, Source.PREDICTED)
+        check_flat(gdoc.doc_id, gold_mentions, Source.GOLD)
+        check_flat(gdoc.doc_id, pred_mentions, Source.PREDICTED)
         merged.append(
-            Document(gdoc.doc_id, gdoc.tokens, gold_mentions, pred_mentions)
+            Document(
+                gdoc.doc_id,
+                gdoc.tokens,
+                gdoc.sentence_starts,
+                gold_mentions,
+                pred_mentions,
+            )
         )
     return Corpus.from_documents(merged)

@@ -16,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .classifier import Decision, Prediction, Verdict
+from .classifier import Decision, Verdict
 from .corpus import ParseError
 from .matcher import MatchReport
 from .metrics import PRF, Convention, UncoveredRecordsError, refined_f
@@ -199,23 +199,16 @@ LOW_CONFIDENCE = 0.5
 def agreement(
     decisions: Mapping[str, Decision],
     records: Sequence[JudgementRecord],
-    predictions: Mapping[str, Prediction] | None = None,
 ) -> AgreementStats:
     """Classifier-versus-expert agreement over the jointly covered records.
 
     The expert side is binarized at score >= 2 (accepted or partially
-    accepted). Confidences come from ``predictions`` when given, else from
-    the decisions themselves.
+    accepted). Confidences come from the decisions.
     """
     scores = {r.record_id: r.score for r in records}
     shared = sorted(set(scores) & set(decisions))
     if not shared:
         raise ValueError("decisions and judgements cover no common record")
-
-    def confidence(rid: str) -> float | None:
-        if predictions is not None and rid in predictions:
-            return predictions[rid].confidence
-        return decisions[rid].confidence
 
     classifier_accepts = {
         rid for rid in shared if decisions[rid].verdict is Verdict.ACCEPT
@@ -230,7 +223,7 @@ def agreement(
     low_confidence = [
         rid
         for rid in disagreements
-        if (c := confidence(rid)) is not None and c < LOW_CONFIDENCE
+        if (c := decisions[rid].confidence) is not None and c < LOW_CONFIDENCE
     ]
 
     def ratio(num: int, den: int) -> float:
@@ -241,7 +234,7 @@ def agreement(
         values = [
             c
             for rid in shared
-            if matches(scores[rid]) and (c := confidence(rid)) is not None
+            if matches(scores[rid]) and (c := decisions[rid].confidence) is not None
         ]
         if values:
             confidence_by_outcome[name] = ConfidenceSummary(

@@ -27,7 +27,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Corpus, EntityMention, ParseError, Source
+from .corpus import Corpus, EntityMention, ParseError, Source, check_flat
 
 
 class MismatchType(Enum):
@@ -66,16 +66,6 @@ def token_overlap(a: EntityMention, b: EntityMention) -> int:
     return max(0, min(a.end, b.end) - max(b.start, a.start))
 
 
-def _require_flat(mentions: Sequence[EntityMention], side: str) -> None:
-    ordered = sorted(mentions, key=lambda m: (m.start, m.end))
-    for a, b in zip(ordered, ordered[1:]):
-        if b.start < a.end:
-            raise ValueError(
-                f"{side} mentions overlap: [{a.start},{a.end}) and "
-                f"[{b.start},{b.end}) in document {a.doc_id!r}"
-            )
-
-
 def classify_document(
     gold: Sequence[EntityMention], pred: Sequence[EntityMention]
 ) -> list[MatchRecord]:
@@ -86,14 +76,14 @@ def classify_document(
     """
     golds = sorted(gold, key=lambda m: m.start)
     preds = sorted(pred, key=lambda m: m.start)
-    _require_flat(golds, "gold")
-    _require_flat(preds, "predicted")
-    doc_ids = {m.doc_id for m in list(golds) + list(preds)}
+    doc_ids = {m.doc_id for m in golds + preds}
     if len(doc_ids) > 1:
         raise ValueError(f"mentions from multiple documents: {sorted(doc_ids)}")
     if not doc_ids:
         return []
     doc_id = doc_ids.pop()
+    check_flat(doc_id, golds, Source.GOLD)
+    check_flat(doc_id, preds, Source.PREDICTED)
 
     staged: list[tuple[MismatchType, EntityMention | None, EntityMention | None]] = []
     consumed_gold: set[tuple[int, int]] = set()

@@ -1,4 +1,10 @@
-"""Precision/recall/F1 under the eight entity-level scoring conventions.
+"""Precision/recall/F1 under the entity-level scoring conventions.
+
+Every convention is the same count over match records and differs only in
+which records earn credit: those of a fixed set of mismatch kinds, plus,
+for the learning-based and human conventions, the Type-5 records whose ids
+were accepted. One pass over the records yields the overall and per-label
+scores of a convention.
 
 Prediction-side and gold-side true positives are tracked separately:
 ``precision = tp_pred / (tp_pred + fp)`` and ``recall = tp_gold /
@@ -12,10 +18,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .classifier import Decision, Verdict
-from .matcher import MatchRecord, MatchReport, MismatchType
+from .matcher import GoldKey, MatchReport, MismatchType
 
 
 class Convention(Enum):
@@ -65,12 +71,15 @@ class PRF:
         return cls(convention, tp_pred, tp_gold, fp, fn, precision, recall, f1)
 
 
+_TYPE5 = MismatchType.TYPE5_RIGHT_LABEL_OVERLAP
+_EXACT_KINDS = frozenset({MismatchType.EXACT_MATCH})
+
 _CREDIT_KINDS: dict[Convention, frozenset[MismatchType]] = {
-    Convention.EXACT: frozenset({MismatchType.EXACT_MATCH}),
+    Convention.EXACT: _EXACT_KINDS,
     Convention.RELAXED: frozenset(
         {MismatchType.EXACT_MATCH, MismatchType.TYPE5_RIGHT_LABEL_OVERLAP}
     ),
-    Convention.SEMEVAL_STRICT: frozenset({MismatchType.EXACT_MATCH}),
+    Convention.SEMEVAL_STRICT: _EXACT_KINDS,
     Convention.SEMEVAL_EXACT_BOUNDARY: frozenset(
         {MismatchType.EXACT_MATCH, MismatchType.TYPE3_WRONG_LABEL_RIGHT_SPAN}
     ),
@@ -90,67 +99,59 @@ _CREDIT_KINDS: dict[Convention, frozenset[MismatchType]] = {
 # Label-blind conventions get no per-label breakdown.
 _OVERALL_ONLY = frozenset({Convention.SEMEVAL_PARTIAL_BOUNDARY})
 
-_Credit = Callable[[MatchRecord], bool]
+def _score(
+    report: MatchReport,
+    convention: Convention,
+    kinds: frozenset[MismatchType],
+    accepted: frozenset[str] = frozenset(),
+) -> tuple[PRF, dict[str, PRF]]:
+    """Overall and per-label scores from one pass over the records.
 
-
-def _kind_credit(kinds: frozenset[MismatchType]) -> _Credit:
-    return lambda r: r.kind in kinds
-
-
-def _accepted_credit(accepted: frozenset[str]) -> _Credit:
-    def credit(r: MatchRecord) -> bool:
-        if r.kind is MismatchType.EXACT_MATCH:
-            return True
-        return (
-            r.kind is MismatchType.TYPE5_RIGHT_LABEL_OVERLAP
-            and r.record_id in accepted
-        )
-
-    return credit
-
-
-def _score(report: MatchReport, convention: Convention, credit: _Credit) -> PRF:
-    tp_pred = sum(1 for r in report.records if r.pred is not None and credit(r))
-    tp_gold = sum(
-        1 for group in report.gold_groups().values() if any(credit(r) for r in group)
-    )
-    fp = report.pred_total - tp_pred
-    fn = report.gold_total - tp_gold
-    return PRF.from_counts(convention, tp_pred, tp_gold, fp, fn)
-
-
-def _score_per_label(
-    report: MatchReport, convention: Convention, credit: _Credit
-) -> dict[str, PRF]:
-    tp_pred: Counter[str] = Counter(
-        r.pred.label for r in report.records if r.pred is not None and credit(r)
-    )
+    A record earns credit when its kind is in ``kinds`` or it is a Type-5
+    record whose id is in ``accepted``; a gold mention earns gold-side
+    credit once, with its first credited record.
+    """
+    tp_pred: Counter[str] = Counter()
     tp_gold: Counter[str] = Counter()
-    for group in report.gold_groups().values():
-        if any(credit(r) for r in group):
-            tp_gold[group[0].gold.label] += 1  # type: ignore[union-attr]
-    result: dict[str, PRF] = {}
-    for label in report.labels():
-        result[label] = PRF.from_counts(
+    credited_golds: set[GoldKey] = set()
+    for r in report.records:
+        if r.kind in kinds or (r.kind is _TYPE5 and r.record_id in accepted):
+            if r.pred is not None:
+                tp_pred[r.pred.label] += 1
+            key = r.gold_key()
+            if key is not None and key not in credited_golds:
+                credited_golds.add(key)
+                tp_gold[r.gold.label] += 1  # type: ignore[union-attr]
+    per_label = {
+        label: PRF.from_counts(
             convention,
             tp_pred[label],
             tp_gold[label],
             report.pred_by_label.get(label, 0) - tp_pred[label],
             report.gold_by_label.get(label, 0) - tp_gold[label],
         )
-    return result
+        for label in report.labels()
+    }
+    # every mention has one label, so the overall counts are the label sums
+    pred_hits, gold_hits = sum(tp_pred.values()), sum(tp_gold.values())
+    overall = PRF.from_counts(
+        convention,
+        pred_hits,
+        gold_hits,
+        report.pred_total - pred_hits,
+        report.gold_total - gold_hits,
+    )
+    return overall, per_label
 
 
 def exact_f(report: MatchReport) -> PRF:
     """Credit only span-and-label identical pairs."""
-    return _score(report, Convention.EXACT, _kind_credit(_CREDIT_KINDS[Convention.EXACT]))
+    return _score(report, Convention.EXACT, _CREDIT_KINDS[Convention.EXACT])[0]
 
 
 def relaxed_f(report: MatchReport) -> PRF:
     """Credit exact matches plus every Type-5 (same-label overlap) record."""
-    return _score(
-        report, Convention.RELAXED, _kind_credit(_CREDIT_KINDS[Convention.RELAXED])
-    )
+    return _score(report, Convention.RELAXED, _CREDIT_KINDS[Convention.RELAXED])[0]
 
 
 def semeval_modes(report: MatchReport) -> dict[Convention, PRF]:
@@ -161,7 +162,7 @@ def semeval_modes(report: MatchReport) -> dict[Convention, PRF]:
     label and partial-boundary credits any overlapping pair.
     """
     return {
-        conv: _score(report, conv, _kind_credit(_CREDIT_KINDS[conv]))
+        conv: _score(report, conv, _CREDIT_KINDS[conv])[0]
         for conv in (
             Convention.SEMEVAL_STRICT,
             Convention.SEMEVAL_EXACT_BOUNDARY,
@@ -198,7 +199,7 @@ def refined_f(
     Rejected Type-5 predictions count as false positives; a gold covered
     only by rejected Type-5 records counts as a false negative.
     """
-    return _score(report, convention, _accepted_credit(frozenset(accepted)))
+    return _score(report, convention, _EXACT_KINDS, frozenset(accepted))[0]
 
 
 def learning_based_f(
@@ -220,20 +221,16 @@ class MetricSuite:
 def metric_suite(
     report: MatchReport, decisions: Mapping[str, Decision] | None = None
 ) -> MetricSuite:
-    credits: dict[Convention, _Credit] = {
-        conv: _kind_credit(kinds) for conv, kinds in _CREDIT_KINDS.items()
+    scores = {
+        conv: _score(report, conv, kinds) for conv, kinds in _CREDIT_KINDS.items()
     }
     if decisions is not None:
         accepted = accepted_ids_from_decisions(report, decisions)
-        credits[Convention.LEARNING_BASED] = _accepted_credit(accepted)
-    overall = {
-        conv: _score(report, conv, credit) for conv, credit in credits.items()
-    }
-    per_label = {
-        conv: _score_per_label(report, conv, credit)
-        for conv, credit in credits.items()
-        if conv not in _OVERALL_ONLY
-    }
+        scores[Convention.LEARNING_BASED] = _score(
+            report, Convention.LEARNING_BASED, _EXACT_KINDS, accepted
+        )
+    overall = {conv: score[0] for conv, score in scores.items()}
+    per_label = {c: s[1] for c, s in scores.items() if c not in _OVERALL_ONLY}
     return MetricSuite(overall, per_label)
 
 

@@ -217,7 +217,9 @@ def perturb(gold: Corpus, plan: PerturbationPlan) -> tuple[Corpus, ExpectedLedge
             mention_from_tokens(doc.doc_id, doc.tokens, s, e, lab, Source.PREDICTED)
             for s, e, lab in sorted(built)
         ]
-        pred_docs.append(Document(doc.doc_id, doc.tokens, [], pred_mentions))
+        pred_docs.append(
+            Document(doc.doc_id, doc.tokens, doc.sentence_starts, [], pred_mentions)
+        )
 
     return Corpus.from_documents(pred_docs), ExpectedLedger.from_entries(entries)
 

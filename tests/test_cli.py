@@ -326,6 +326,66 @@ def test_refine_without_ledger_reference_exits_1(workspace):
     assert code == EXIT_USAGE
 
 
+def _model_blob(header: bytes) -> bytes:
+    # two labels over four buckets: 4 * 2 weights and 2 biases
+    return b"ENTMATCH-CLS1\n" + header + b"\n" + bytes(8 * (4 * 2 + 2))
+
+
+_MODEL_HEADER = {
+    "format_version": 1,
+    "labels": ["other", "problem"],
+    "buckets": 4,
+    "seed": 0,
+    "epochs": 1,
+    "learning_rate": 0.5,
+}
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        json.dumps({k: v for k, v in _MODEL_HEADER.items() if k != "seed"}).encode(),
+        b"{not json",
+        b"[1, 2]",
+        json.dumps({**_MODEL_HEADER, "buckets": "four"}).encode(),
+    ],
+    ids=["missing-key", "non-json", "non-object", "non-integer-buckets"],
+)
+def test_refine_with_defective_model_header_exits_2(workspace, capsys, header):
+    _, out = _eval(workspace)
+    model = workspace / "bad.entcls"
+    model.write_bytes(_model_blob(header))
+    capsys.readouterr()
+    code = main(["refine", str(out), "--model", str(model)])
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_refine_with_well_formed_model_header_runs(workspace):
+    _, out = _eval(workspace)
+    model = workspace / "zero.entcls"
+    model.write_bytes(_model_blob(json.dumps(_MODEL_HEADER).encode()))
+    refined = workspace / "refined.json"
+    code = main(["refine", str(out), "--model", str(model), "--out", str(refined)])
+    assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["refine", "judge"])
+@pytest.mark.parametrize("content", ["[1, 2]", "{not json"])
+def test_malformed_report_exits_2(workspace, capsys, command, content):
+    report = workspace / "bad.json"
+    report.write_text(content)
+    other = workspace / "x.jsonl"
+    argv = (
+        ["refine", str(report), "--external-decisions", str(other)]
+        if command == "refine"
+        else ["judge", str(report), str(other)]
+    )
+    assert main(argv) == EXIT_PARSE
+    assert "report" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # judgement pipeline
 
@@ -406,6 +466,17 @@ def test_judge_unknown_record_exits_2(workspace):
     judgements = workspace / "judgements.tsv"
     judgements.write_text("ghost:1\t5\n")
     assert main(["judge", str(out), str(judgements)]) == EXIT_PARSE
+
+
+def test_judge_non_utf8_decisions_exits_2(workspace, capsys):
+    _, out = _eval(workspace)
+    judgements = workspace / "judgements.tsv"
+    judgements.write_text("".join(f"{rid}\t4\n" for rid in _report_t5_ids(out)))
+    decisions = workspace / "decisions.jsonl"
+    decisions.write_bytes(b"\xff\xfe")
+    code = main(["judge", str(out), str(judgements), "--decisions", str(decisions)])
+    assert code == EXIT_PARSE
+    assert "UTF-8" in capsys.readouterr().err
 
 
 def test_judge_incomplete_judgements_exit_4(workspace):

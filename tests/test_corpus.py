@@ -41,14 +41,14 @@ def test_iob_two_token_entity():
 def test_iob_blank_line_separates_sentences():
     corpus = parse_iob("cough B-problem\n\nx O\n")
     doc = corpus.documents[0]
-    assert [t.sent_index for t in doc.tokens] == [0, 1]
+    assert doc.sentence_starts == (0, 1)
     assert _spans(corpus) == [(0, 1, "problem")]
 
 
 def test_iob_space_and_tab_separators_mix():
     corpus = parse_iob("a O\nNew York\tB-loc\n")
     doc = corpus.documents[0]
-    assert [t.text for t in doc.tokens] == ["a", "New York"]
+    assert doc.tokens == ("a", "New York")
     assert _spans(corpus) == [(1, 2, "loc")]
 
 
@@ -109,12 +109,6 @@ def test_iob1_i_opens_entities_without_warning(caplog):
 def test_entity_state_resets_at_sentence_boundary():
     corpus = parse_iob("x B-A\n\ny I-A\n")
     assert _spans(corpus) == [(0, 1, "A"), (1, 2, "A")]
-
-
-def test_char_offsets_join_tokens_with_single_spaces():
-    corpus = parse_iob("ab O\ncd O\n\nef O\n")
-    doc = corpus.documents[0]
-    assert [(t.char_start, t.char_end) for t in doc.tokens] == [(0, 2), (3, 5), (6, 8)]
 
 
 @st.composite
@@ -272,6 +266,17 @@ def test_pair_corpora_token_count_mismatch():
 def test_build_document_rejects_overlapping_same_source_spans():
     with pytest.raises(ParseError, match="overlapping gold spans"):
         build_document("d", [["a", "b", "c"]], gold=[(0, 2, "A"), (1, 3, "B")])
+
+
+def test_build_document_skips_empty_sentences_in_sentence_starts():
+    doc = build_document("d", [["a"], [], ["b", "c"], []], gold=[(1, 3, "X")])
+    assert doc.sentence_starts == (0, 1)
+    assert '"sentence_starts": [0, 1]' in serialize_standoff(Corpus.from_documents([doc]))
+
+
+def test_build_document_rejects_empty_token_text():
+    with pytest.raises(ValueError, match="non-empty"):
+        build_document("d", [["a", ""]])
 
 
 def test_mention_text_is_space_joined_surface():

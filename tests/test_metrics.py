@@ -203,6 +203,13 @@ def test_accepted_ids_keeps_only_accepts(liver_report):
     assert accepted_ids_from_decisions(liver_report, decisions) == {ids[0]}
 
 
+def test_accepted_ids_of_other_kinds_earn_no_credit():
+    for seed in range(10):
+        report = _report(seed)
+        others = {r.record_id for r in report.records} - set(_t5_ids(report))
+        assert _nums(refined_f(report, others)) == _nums(exact_f(report))
+
+
 def test_partial_acceptance_scores_between_bounds(liver_report):
     ids = _t5_ids(liver_report)
     refined = refined_f(liver_report, {ids[0]})
