@@ -11,16 +11,15 @@ through a line-delimited request/response file protocol.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from random import Random
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import ParseError
+from .corpus import ParseError, decode_utf8, is_int, read_jsonl
 from .matcher import MatchReport, MatchRecord
 
 _MAGIC = b"ENTMATCH-CLS1"
@@ -141,8 +140,9 @@ class ClassifierModel:
         newline = blob.find(b"\n", len(prefix))
         if newline < 0:
             raise ParseError("model header has no terminating newline")
+        header_text = decode_utf8(blob[len(prefix):newline], "model header")
         try:
-            header = json.loads(blob[len(prefix):newline].decode("utf-8"))
+            header = json.loads(header_text)
         except ValueError as exc:
             raise ParseError(f"model header is not JSON: {exc}") from None
         if not isinstance(header, dict):
@@ -276,6 +276,34 @@ def decide_type5(model: ClassifierModel, report: MatchReport) -> dict[str, Decis
 
 
 # ---------------------------------------------------------------------------
+# checks shared by the response, decision and judgement readers
+
+
+def check_type5_id(
+    rid: object,
+    type5_ids: Container[str],
+    seen: Container[str],
+    what: str,
+    line_no: int,
+) -> str:
+    """A line's record id: a string naming a Type-5 record not named before."""
+    if not isinstance(rid, str):
+        raise ParseError(f"{what} record id must be a string, got {rid!r}", line_no)
+    if rid not in type5_ids:
+        raise ParseError(f"unknown Type-5 record id {rid!r}", line_no)
+    if rid in seen:
+        raise ParseError(f"duplicate {what} for record {rid!r}", line_no)
+    return rid
+
+
+def check_confidence(value: object, line_no: int) -> float:
+    """A classifier confidence: a JSON number in [0, 1]."""
+    if not (is_int(value) or isinstance(value, float)) or not 0.0 <= value <= 1.0:
+        raise ParseError(f"confidence {value!r} outside [0, 1]", line_no)
+    return float(value)
+
+
+# ---------------------------------------------------------------------------
 # external classifier protocol
 
 
@@ -306,41 +334,14 @@ def load_external_decisions(
     allowed.add("other")
 
     responses: dict[str, tuple[str, float]] = {}
-    text = Path(path).read_bytes()
-    try:
-        decoded = text.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"response file is not valid UTF-8: {exc}") from None
-    for line_no, line in enumerate(decoded.split("\n"), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line_no) from None
-        if not isinstance(obj, dict):
-            raise ParseError("response entry must be a JSON object", line_no)
-        rid = obj.get("id")
+    for line_no, obj in read_jsonl(Path(path).read_bytes(), "response file"):
+        rid = check_type5_id(obj.get("id"), records, responses, "response", line_no)
         label = obj.get("label")
-        confidence = obj.get("confidence")
-        if not isinstance(rid, str):
-            raise ParseError("response missing string 'id'", line_no)
-        if rid not in records:
-            raise ParseError(f"unknown Type-5 record id {rid!r}", line_no)
-        if rid in responses:
-            raise ParseError(f"duplicate response for record {rid!r}", line_no)
         if not isinstance(label, str) or label not in allowed:
             raise ParseError(
                 f"label {label!r} not in the allowed label set", line_no
             )
-        if (
-            not isinstance(confidence, (int, float))
-            or isinstance(confidence, bool)
-            or math.isnan(confidence)
-            or not 0.0 <= confidence <= 1.0
-        ):
-            raise ParseError(f"confidence {confidence!r} outside [0, 1]", line_no)
-        responses[rid] = (label, float(confidence))
+        responses[rid] = (label, check_confidence(obj.get("confidence"), line_no))
 
     missing = sorted(set(records) - set(responses))
     if missing:
@@ -383,36 +384,24 @@ def write_decisions(decisions: Mapping[str, Decision], path: str | Path) -> None
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def read_decisions(path: str | Path) -> dict[str, Decision]:
+def read_decisions(path: str | Path, report: MatchReport) -> dict[str, Decision]:
+    """Read a decision file whose ids name Type-5 records of ``report``."""
+    type5_ids = {r.record_id for r in report.type5_records()}
     decisions: dict[str, Decision] = {}
-    raw = Path(path).read_bytes()
-    try:
-        decoded = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"decision file is not valid UTF-8: {exc}") from None
-    for line_no, line in enumerate(decoded.split("\n"), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line_no) from None
-        try:
-            rid = obj["record_id"]
-            verdict = Verdict(obj["verdict"])
-        except (KeyError, TypeError, ValueError):
-            raise ParseError("malformed decision entry", line_no) from None
-        if rid in decisions:
-            raise ParseError(f"duplicate decision for record {rid!r}", line_no)
-        confidence = obj.get("confidence")
-        if confidence is not None and (
-            not isinstance(confidence, (int, float)) or isinstance(confidence, bool)
-        ):
-            raise ParseError(f"invalid confidence {confidence!r}", line_no)
-        decisions[rid] = Decision(
-            rid,
-            verdict,
-            obj.get("predicted_label"),
-            None if confidence is None else float(confidence),
+    for line_no, obj in read_jsonl(Path(path).read_bytes(), "decision file"):
+        rid = check_type5_id(
+            obj.get("record_id"), type5_ids, decisions, "decision", line_no
         )
+        verdict = obj.get("verdict")
+        try:
+            verdict = Verdict(verdict)
+        except ValueError:
+            raise ParseError(f"invalid verdict {verdict!r}", line_no) from None
+        label = obj.get("predicted_label")
+        if label is not None and not isinstance(label, str):
+            raise ParseError(f"invalid predicted label {label!r}", line_no)
+        confidence = obj.get("confidence")
+        if confidence is not None:
+            confidence = check_confidence(confidence, line_no)
+        decisions[rid] = Decision(rid, verdict, label, confidence)
     return decisions

@@ -44,6 +44,7 @@ from .corpus import (
     ParseError,
     Source,
     TagScheme,
+    decode_utf8,
     pair_corpora,
     parse_iob,
     parse_standoff,
@@ -258,8 +259,9 @@ def _load_corpus(path: str, fmt: str, scheme: str, source: Source) -> Corpus:
 
 def _load_report(path: str, ledger: str | None) -> tuple[dict, MatchReport]:
     """A run report and the match report of its ledger (or of ``ledger``)."""
+    text = decode_utf8(Path(path).read_bytes(), "report")
     try:
-        doc = json.loads(Path(path).read_bytes().decode("utf-8"))
+        doc = json.loads(text)
     except ValueError as exc:
         raise ParseError(f"report is not JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -320,7 +322,9 @@ def _cmd_build_clsdata(args: argparse.Namespace) -> int:
     if args.stopwords:
         stopwords = frozenset(
             w.strip().lower()
-            for w in Path(args.stopwords).read_text("utf-8").split("\n")
+            for w in decode_utf8(
+                Path(args.stopwords).read_bytes(), "stopword file"
+            ).split("\n")
             if w.strip()
         )
     config = BuilderConfig(
@@ -411,7 +415,7 @@ def _cmd_judge(args: argparse.Namespace) -> int:
         errors[f"exact_vs_{p.value}"] = metric_error(exact, human_prf)
         errors[f"relaxed_vs_{p.value}"] = metric_error(relaxed, human_prf)
     if args.decisions:
-        decisions = read_decisions(args.decisions)
+        decisions = read_decisions(args.decisions, report)
         learning = learning_based_f(report, decisions)
         section["learning_based"] = _prf_dict(learning)
         for p, human_prf in human.items():
@@ -577,7 +581,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"entmatch: error: no such file: {exc.filename}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"entmatch: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

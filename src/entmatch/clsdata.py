@@ -19,7 +19,7 @@ from pathlib import Path
 from random import Random
 from typing import Iterable, Sequence
 
-from .corpus import Corpus, Document, ParseError
+from .corpus import Corpus, Document, ParseError, decode_utf8, read_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -51,10 +51,10 @@ class LabeledText:
     origin: Origin
 
     def __post_init__(self):
-        if not self.text:
-            raise ValueError("labelled text must be non-empty")
-        if not self.label:
-            raise ValueError("label must be non-empty")
+        if not isinstance(self.text, str) or not self.text:
+            raise ValueError("labelled text must be a non-empty string")
+        if not isinstance(self.label, str) or not self.label:
+            raise ValueError("label must be a non-empty string")
 
 
 @dataclass(frozen=True)
@@ -157,12 +157,8 @@ def sample_other(
 
 def ingest_external_chunks(path: str | Path) -> list[str]:
     """Read precomputed chunk candidates, one per line; blank lines skipped."""
-    raw = Path(path).read_bytes()
-    try:
-        decoded = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"chunk file is not valid UTF-8: {exc}") from None
-    return [line.strip() for line in decoded.split("\n") if line.strip()]
+    text = decode_utf8(Path(path).read_bytes(), "chunk file")
+    return [line.strip() for line in text.split("\n") if line.strip()]
 
 
 def build_training_set(
@@ -195,24 +191,11 @@ def write_pairs(pairs: Iterable[LabeledText], path: str | Path) -> None:
 
 
 def read_pairs(path: str | Path) -> list[LabeledText]:
-    import json
-
-    raw = Path(path).read_bytes()
-    try:
-        decoded = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"pairs file is not valid UTF-8: {exc}") from None
     pairs: list[LabeledText] = []
-    for line_no, line in enumerate(decoded.split("\n"), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line_no) from None
+    for line_no, obj in read_jsonl(Path(path).read_bytes(), "pairs file"):
         try:
             pair = LabeledText(obj["text"], obj["label"], Origin(obj["origin"]))
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, ValueError):
             raise ParseError("malformed training pair", line_no) from None
         pairs.append(pair)
     return pairs

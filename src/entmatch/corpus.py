@@ -9,6 +9,11 @@ A document holds what a standoff line holds: its token texts, the token
 indices where its sentences start, and its gold and predicted mentions.
 Positions are token indices throughout; a mention's surface text is
 its covered tokens joined by single spaces.
+
+Every entmatch input file is read through the helpers here:
+``decode_utf8`` turns its bytes into text, ``read_jsonl`` yields the JSON
+object on each non-blank line (both raise ``ParseError`` for bad input),
+and ``is_int`` tells a JSON integer from ``true``/``false``.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -36,6 +41,38 @@ class ParseError(ValueError):
 
 class AlignmentError(ValueError):
     """Gold and prediction corpora do not describe the same documents."""
+
+
+def decode_utf8(content: bytes | str, what: str) -> str:
+    """The text of an input file; bytes that are not UTF-8 raise ``ParseError``."""
+    if isinstance(content, str):
+        return content
+    try:
+        return content.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} is not valid UTF-8: {exc}") from None
+
+
+def read_jsonl(content: bytes | str, what: str) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, object)`` for each non-blank line of a JSONL input.
+
+    A line that is not JSON, or not a JSON object, raises ``ParseError``.
+    """
+    for line_no, line in enumerate(decode_utf8(content, what).split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", line_no) from None
+        if not isinstance(obj, dict):
+            raise ParseError(f"{what} line must be a JSON object", line_no)
+        yield line_no, obj
+
+
+def is_int(value: object) -> bool:
+    """Whether a JSON value is an integer; ``true`` and ``false`` are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class Source(Enum):
@@ -169,15 +206,6 @@ def build_document(
     return Document(doc_id, tokens, starts, gold_mentions, pred_mentions)
 
 
-def _decode_bytes(content: bytes | str) -> str:
-    if isinstance(content, str):
-        return content
-    try:
-        return content.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"input is not valid UTF-8: {exc}") from None
-
-
 # ---------------------------------------------------------------------------
 # IOB parsing
 
@@ -198,7 +226,7 @@ def parse_iob(
     ``doc0``. Orphan ``I-`` tags under IOB2 are repaired to ``B-`` with a
     logged warning; under IOB1 a fresh ``I-`` legitimately opens an entity.
     """
-    text = _decode_bytes(content)
+    text = decode_utf8(content, "IOB file")
     raw_docs: list[tuple[str, list[_RawSentence]]] = []
     seen_ids: set[str] = set()
     sentences: list[_RawSentence] = []
@@ -338,22 +366,14 @@ def parse_standoff(content: bytes | str) -> Corpus:
     ``source``). An optional ``sentence_starts`` field preserves sentence
     structure; without it the document is a single sentence.
     """
-    text = _decode_bytes(content)
-    documents: list[Document] = []
-    for line_no, line in enumerate(text.split("\n"), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line_no) from None
-        documents.append(_document_from_standoff(obj, line_no))
+    documents = [
+        _document_from_standoff(obj, line_no)
+        for line_no, obj in read_jsonl(content, "standoff file")
+    ]
     return Corpus.from_documents(documents)
 
 
-def _document_from_standoff(obj: object, line_no: int) -> Document:
-    if not isinstance(obj, dict):
-        raise ParseError("document entry must be a JSON object", line_no)
+def _document_from_standoff(obj: dict, line_no: int) -> Document:
     doc_id = obj.get("doc_id")
     if not isinstance(doc_id, str) or not doc_id:
         raise ParseError("missing or invalid 'doc_id'", line_no)
@@ -365,7 +385,7 @@ def _document_from_standoff(obj: object, line_no: int) -> Document:
     starts = obj.get("sentence_starts", [0] if token_texts else [])
     if (
         not isinstance(starts, list)
-        or any(not isinstance(s, int) or isinstance(s, bool) for s in starts)
+        or not all(is_int(s) for s in starts)
         or starts != sorted(set(starts))
         or (token_texts and (not starts or starts[0] != 0))
         or any(s >= len(token_texts) for s in starts)
@@ -387,7 +407,7 @@ def _document_from_standoff(obj: object, line_no: int) -> Document:
             source_value = ent["source"]
         except KeyError as exc:
             raise ParseError(f"entity missing field {exc.args[0]!r}", line_no) from None
-        if not isinstance(start, int) or not isinstance(end, int):
+        if not is_int(start) or not is_int(end):
             raise ParseError("entity span indices must be integers", line_no)
         if end <= start:
             raise ParseError(f"empty or inverted span [{start}, {end})", line_no)

@@ -16,8 +16,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .classifier import Decision, Verdict
-from .corpus import ParseError
+from .classifier import Decision, Verdict, check_type5_id
+from .corpus import ParseError, decode_utf8, is_int
 from .matcher import MatchReport
 from .metrics import PRF, Convention, UncoveredRecordsError, refined_f
 
@@ -59,22 +59,15 @@ def load_judgements(path: str | Path, report: MatchReport) -> list[JudgementReco
     Every record id must name a Type-5 record of the report; duplicate ids
     and out-of-range scores are rejected.
     """
-    raw = Path(path).read_bytes()
-    try:
-        decoded = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"judgement file is not valid UTF-8: {exc}") from None
+    text = decode_utf8(Path(path).read_bytes(), "judgement file")
     type5_ids = {r.record_id for r in report.type5_records()}
     records: list[JudgementRecord] = []
     seen: set[str] = set()
-    for line_no, line in enumerate(decoded.split("\n"), 1):
+    for line_no, line in enumerate(text.split("\n"), 1):
         if not line.strip():
             continue
-        record_id, score = _parse_judgement_line(line, line_no)
-        if record_id not in type5_ids:
-            raise ParseError(f"unknown Type-5 record id {record_id!r}", line_no)
-        if record_id in seen:
-            raise ParseError(f"duplicate judgement for record {record_id!r}", line_no)
+        raw_id, score = _parse_judgement_line(line, line_no)
+        record_id = check_type5_id(raw_id, type5_ids, seen, "judgement", line_no)
         seen.add(record_id)
         if not SCORE_MIN <= score <= SCORE_MAX:
             raise ParseError(
@@ -84,27 +77,22 @@ def load_judgements(path: str | Path, report: MatchReport) -> list[JudgementReco
     return records
 
 
-def _parse_judgement_line(line: str, line_no: int) -> tuple[str, int]:
+def _parse_judgement_line(line: str, line_no: int) -> tuple[object, int]:
     if line.lstrip().startswith("{"):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", line_no) from None
-        record_id = obj.get("record_id")
         score = obj.get("score")
-        if not isinstance(record_id, str):
-            raise ParseError("judgement missing string 'record_id'", line_no)
-        if not isinstance(score, int) or isinstance(score, bool):
+        if not is_int(score):
             raise ParseError(f"score must be an integer, got {score!r}", line_no)
-        return record_id, score
+        return obj.get("record_id"), score
     parts = line.rstrip("\n").split("\t")
     if len(parts) != 2:
         raise ParseError(
             f"expected 2 tab-separated columns, got {len(parts)}", line_no
         )
     record_id, score_text = parts[0].strip(), parts[1].strip()
-    if not record_id:
-        raise ParseError("empty record id", line_no)
     try:
         score = int(score_text)
     except ValueError:

@@ -27,7 +27,15 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Corpus, EntityMention, ParseError, Source, check_flat
+from .corpus import (
+    Corpus,
+    EntityMention,
+    ParseError,
+    Source,
+    check_flat,
+    is_int,
+    read_jsonl,
+)
 
 
 class MismatchType(Enum):
@@ -255,8 +263,10 @@ def _mention_from_obj(
         text = obj["text"]
     except (KeyError, TypeError, ValueError):
         raise ParseError("malformed mention object", line_no) from None
-    if not isinstance(start, int) or not isinstance(end, int):
+    if not is_int(start) or not is_int(end):
         raise ParseError("mention span indices must be integers", line_no)
+    if not isinstance(label, str) or not isinstance(text, str):
+        raise ParseError("mention label and text must be strings", line_no)
     try:
         return EntityMention(doc_id, start, end, label, text, source)
     except ValueError as exc:
@@ -291,24 +301,12 @@ def write_ledger(report: MatchReport, path: str | Path) -> None:
 def read_ledger(path: str | Path) -> MatchReport:
     """Reconstruct a full match report from a record ledger file."""
     try:
-        text = Path(path).read_bytes()
+        content = Path(path).read_bytes()
     except IsADirectoryError:
         raise ParseError(f"{path} is a directory") from None
-    try:
-        decoded = text.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"ledger is not valid UTF-8: {exc}") from None
     records: list[MatchRecord] = []
     seen_ids: set[str] = set()
-    for line_no, line in enumerate(decoded.split("\n"), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line_no) from None
-        if not isinstance(obj, dict):
-            raise ParseError("record entry must be a JSON object", line_no)
+    for line_no, obj in read_jsonl(content, "ledger"):
         record_id = obj.get("record_id")
         doc_id = obj.get("doc_id")
         if not isinstance(record_id, str) or not isinstance(doc_id, str):
@@ -328,7 +326,7 @@ def read_ledger(path: str | Path) -> MatchReport:
                 f"record kind {kind.value!r} has the wrong mention sides", line_no
             )
         overlap = obj.get("overlap_tokens")
-        if not isinstance(overlap, int) or isinstance(overlap, bool) or overlap < 0:
+        if not is_int(overlap) or overlap < 0:
             raise ParseError("invalid 'overlap_tokens'", line_no)
         records.append(MatchRecord(record_id, doc_id, kind, pred, gold, overlap))
     return MatchReport.from_records(records)

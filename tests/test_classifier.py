@@ -290,14 +290,15 @@ def test_run_external_classifier_round_trip(tmp_path, liver_report):
 # decision persistence
 
 
-def test_decisions_round_trip(tmp_path):
+def test_decisions_round_trip(tmp_path, liver_report):
+    first_id, second_id = sorted(r.record_id for r in liver_report.type5_records())
     decisions = {
-        "d:1": Decision("d:1", Verdict.ACCEPT, "problem", 0.75),
-        "d:0": Decision("d:0", Verdict.REJECT, "other", None),
+        second_id: Decision(second_id, Verdict.ACCEPT, "problem", 0.75),
+        first_id: Decision(first_id, Verdict.REJECT, "other", None),
     }
     path = tmp_path / "decisions.jsonl"
     write_decisions(decisions, path)
-    assert read_decisions(path) == decisions
+    assert read_decisions(path, liver_report) == decisions
     # rows are sorted by record id for reproducible files
     first = json.loads(path.read_text().splitlines()[0])
-    assert first["record_id"] == "d:0"
+    assert first["record_id"] == first_id

@@ -97,6 +97,13 @@ def _report_t5_ids(out):
     return ids
 
 
+def _assert_parse_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    return err
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -186,6 +193,27 @@ def test_eval_parse_failure_exits_2(workspace):
     assert code == EXIT_PARSE
 
 
+def test_eval_boolean_standoff_span_exits_2(workspace, capsys):
+    line = {"doc_id": "d", "tokens": ["a", "b"], "entities": []}
+    (workspace / "pred.jsonl").write_text(json.dumps(line) + "\n")
+    entity = {"start": False, "end": True, "label": "X", "source": "gold"}
+    (workspace / "gold.jsonl").write_text(
+        json.dumps({**line, "entities": [entity]}) + "\n"
+    )
+    code = main(
+        [
+            "eval",
+            str(workspace / "gold.jsonl"),
+            str(workspace / "pred.jsonl"),
+            "--format",
+            "standoff",
+            "--out",
+            str(workspace / "report.json"),
+        ]
+    )
+    _assert_parse_error(code, capsys)
+
+
 def test_eval_missing_file_exits_1(workspace):
     code = main(
         ["eval", str(workspace / "absent.iob"), str(workspace / "pred.iob")]
@@ -247,6 +275,36 @@ def test_build_clsdata_writes_labelled_pairs(workspace):
     assert {"problem", "treatment", "other"} <= labels
     texts = {row["text"] for row in rows if row["label"] == "problem"}
     assert "chest pain" in texts and "fever" in texts
+
+
+@pytest.mark.parametrize(
+    "row", [{"text": 5}, {"label": ["X"]}], ids=["integer-text", "list-label"]
+)
+def test_train_cls_on_pair_of_wrong_type_exits_2(workspace, capsys, row):
+    pairs = workspace / "pairs.jsonl"
+    good = {"text": "fever", "label": "problem", "origin": "gold_entity"}
+    pairs.write_text(
+        json.dumps(good) + "\n" + json.dumps({**good, **row}) + "\n"
+    )
+    code = main(["train-cls", str(pairs), "--out", str(workspace / "m.entcls")])
+    _assert_parse_error(code, capsys)
+
+
+@pytest.mark.parametrize("flag", ["--stopwords", "--chunks"])
+def test_build_clsdata_non_utf8_word_file_exits_2(workspace, capsys, flag):
+    words = workspace / "words.txt"
+    words.write_bytes(b"the\n\xff\xfe\n")
+    code = main(
+        [
+            "build-clsdata",
+            str(workspace / "gold.iob"),
+            flag,
+            str(words),
+            "--out",
+            str(workspace / "pairs.jsonl"),
+        ]
+    )
+    assert "UTF-8" in _assert_parse_error(code, capsys)
 
 
 def test_refine_with_model_appends_decisions(workspace, capsys):
@@ -315,6 +373,33 @@ def test_refine_incomplete_external_decisions_exit_4(workspace):
 def test_refine_requires_exactly_one_decision_source(workspace):
     _, out = _eval(workspace)
     assert main(["refine", str(out)]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["refine", "judge"])
+@pytest.mark.parametrize(
+    "field, value",
+    [("span", [True, 2]), ("text", 5), ("label", ["problem"])],
+    ids=["boolean-span", "integer-text", "list-label"],
+)
+def test_ledger_mention_of_wrong_type_exits_2(
+    workspace, capsys, command, field, value
+):
+    _, out = _eval(workspace)
+    judgements = workspace / "judgements.tsv"
+    judgements.write_text("".join(f"{rid}\t4\n" for rid in _report_t5_ids(out)))
+    model = _train_model(workspace)
+    ledger = workspace / "report.ledger.jsonl"
+    rows = [json.loads(line) for line in ledger.read_text().splitlines()]
+    next(r for r in rows if r["kind"] == "type5")["pred"][field] = value
+    ledger.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    capsys.readouterr()
+    argv = (
+        ["refine", str(out), "--model", str(model)]
+        if command == "refine"
+        else ["judge", str(out), str(judgements)]
+    )
+    argv += ["--out", str(workspace / "out.json")]
+    _assert_parse_error(main(argv), capsys)
 
 
 def test_refine_without_ledger_reference_exits_1(workspace):
@@ -477,6 +562,45 @@ def test_judge_non_utf8_decisions_exits_2(workspace, capsys):
     code = main(["judge", str(out), str(judgements), "--decisions", str(decisions)])
     assert code == EXIT_PARSE
     assert "UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ({"record_id": None}, "must be a string"),
+        ({"record_id": 5}, "must be a string"),
+        ({"record_id": ["a"]}, "must be a string"),
+        ({"record_id": "ghost:1"}, "unknown Type-5 record id"),
+        ({"confidence": 7}, "confidence"),
+        ({"predicted_label": 5}, "predicted label"),
+    ],
+    ids=["null-id", "integer-id", "list-id", "unknown-id", "confidence", "label"],
+)
+def test_judge_decision_not_matching_the_report_exits_2(
+    workspace, capsys, row, message
+):
+    _, out = _eval(workspace)
+    ids = _report_t5_ids(out)
+    judgements = workspace / "judgements.tsv"
+    judgements.write_text("".join(f"{rid}\t4\n" for rid in ids))
+    line = {"verdict": "accept", "predicted_label": "problem", "confidence": 0.9}
+    lines = [{"record_id": rid, **line} for rid in ids]
+    lines[0].update(row)
+    decisions = workspace / "decisions.jsonl"
+    decisions.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    capsys.readouterr()
+    code = main(
+        [
+            "judge",
+            str(out),
+            str(judgements),
+            "--decisions",
+            str(decisions),
+            "--out",
+            str(workspace / "judged.json"),
+        ]
+    )
+    assert message in _assert_parse_error(code, capsys)
 
 
 def test_judge_incomplete_judgements_exit_4(workspace):
