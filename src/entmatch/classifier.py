@@ -10,12 +10,13 @@ through a line-delimited request/response file protocol.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from random import Random
-from typing import Container, Iterable, Mapping, Sequence
+from typing import BinaryIO, Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -78,25 +79,65 @@ class TrainConfig:
             raise ValueError("bucket count must be >= 2")
 
 
-def _hash64(feature: str) -> int:
-    """FNV-1a over UTF-8 bytes; stable across runs and platforms."""
-    h = _FNV_OFFSET
+def _hash64(feature: str, state: int = _FNV_OFFSET) -> int:
+    """FNV-1a over UTF-8 bytes; stable across runs and platforms.
+
+    ``state`` continues a hash, so ``_hash64(b, _hash64(a)) == _hash64(a + b)``.
+    """
+    h = state
     for byte in feature.encode("utf-8"):
         h = ((h ^ byte) * _FNV_PRIME) & _MASK64
     return h
 
 
-def _featurize(text: str, buckets: int) -> dict[int, float]:
-    lowered = text.lower()
-    counts: dict[int, float] = {}
-    for n in (3, 4, 5):
-        for i in range(len(lowered) - n + 1):
-            bucket = _hash64(f"c{n}|{lowered[i:i + n]}") % buckets
+# hash states after each feature kind's constant prefix: c3|, c4|, c5| and w|
+_GRAM_STATES = tuple((n, _hash64(f"c{n}|")) for n in (3, 4, 5))
+_WORD_STATE = _hash64("w|")
+
+
+class _Featurizer:
+    """Hashed features: character 3-5-grams and words of the lowercased text.
+
+    Each distinct text is featurized once and each distinct gram or word
+    hashed once. The caches grow with the texts seen, so an instance lives
+    for one call of ``train``, ``predict`` or ``decide_type5`` only.
+    """
+
+    def __init__(self, buckets: int):
+        self.buckets = buckets
+        self._grams: dict[str, int] = {}  # a gram's length is its n
+        self._words: dict[str, int] = {}
+        self._rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def counts(self, text: str) -> dict[int, float]:
+        """Bucket -> count, in the order each bucket is first hit."""
+        lowered = text.lower()
+        counts: dict[int, float] = {}
+        grams = self._grams
+        for n, state in _GRAM_STATES:
+            for i in range(len(lowered) - n + 1):
+                gram = lowered[i:i + n]
+                bucket = grams.get(gram)
+                if bucket is None:
+                    bucket = grams[gram] = _hash64(gram, state) % self.buckets
+                counts[bucket] = counts.get(bucket, 0.0) + 1.0
+        words = self._words
+        for word in lowered.split():
+            bucket = words.get(word)
+            if bucket is None:
+                bucket = words[word] = _hash64(word, _WORD_STATE) % self.buckets
             counts[bucket] = counts.get(bucket, 0.0) + 1.0
-    for word in lowered.split():
-        bucket = _hash64(f"w|{word}") % buckets
-        counts[bucket] = counts.get(bucket, 0.0) + 1.0
-    return counts
+        return counts
+
+    def __call__(self, text: str) -> tuple[np.ndarray, np.ndarray]:
+        """The text's bucket indices and counts as arrays, shared per text."""
+        row = self._rows.get(text)
+        if row is None:
+            feats = self.counts(text)
+            idx = np.fromiter(feats.keys(), dtype=np.int64, count=len(feats))
+            val = np.fromiter(feats.values(), dtype=np.float64, count=len(feats))
+            row = self._rows[text] = (idx, val)
+        return row
 
 
 @dataclass
@@ -110,7 +151,7 @@ class ClassifierModel:
     config: TrainConfig
     format_version: int = 1
 
-    def to_bytes(self) -> bytes:
+    def _write(self, fh: BinaryIO) -> None:
         header = {
             "format_version": self.format_version,
             "labels": list(self.labels),
@@ -120,20 +161,24 @@ class ClassifierModel:
             "learning_rate": self.config.learning_rate,
             "dtype": "<f8",
         }
-        return b"".join(
-            [
-                _MAGIC,
-                b"\n",
-                json.dumps(header, sort_keys=True).encode("utf-8"),
-                b"\n",
-                np.ascontiguousarray(self.weights, dtype="<f8").tobytes(),
-                np.ascontiguousarray(self.bias, dtype="<f8").tobytes(),
-            ]
-        )
+        header_line = json.dumps(header, sort_keys=True).encode("utf-8")
+        fh.write(_MAGIC + b"\n" + header_line + b"\n")
+        # the arrays' own buffers, no copy unless the layout is not <f8 C-order
+        fh.write(np.ascontiguousarray(self.weights, dtype="<f8"))
+        fh.write(np.ascontiguousarray(self.bias, dtype="<f8"))
+
+    def to_bytes(self) -> bytes:
+        buffer = io.BytesIO()
+        self._write(buffer)
+        return buffer.getvalue()
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ClassifierModel":
-        """Rebuild a model; any defect in the file raises ``ParseError``."""
+        """Rebuild a model; any defect in the file raises ``ParseError``.
+
+        ``weights`` and ``bias`` are views of ``blob``, read-only when it is
+        ``bytes``, so the model holds no second copy of the payload.
+        """
         prefix = _MAGIC + b"\n"
         if not blob.startswith(prefix):
             raise ParseError("not a serialized classifier model")
@@ -164,27 +209,24 @@ class ClassifierModel:
         except ValueError as exc:
             raise ParseError(f"invalid model header: {exc}") from None
         buckets = config.buckets
-        body = blob[newline + 1:]
+        start = newline + 1
+        payload = len(blob) - start
         expected = (buckets * len(labels) + len(labels)) * 8
-        if len(body) != expected:
+        if payload != expected:
             raise ParseError(
-                f"model payload is {len(body)} bytes, expected {expected}"
+                f"model payload is {payload} bytes, expected {expected}"
             )
         weights = np.frombuffer(
-            body[: buckets * len(labels) * 8], dtype="<f8"
+            blob, dtype="<f8", count=buckets * len(labels), offset=start
         ).reshape(buckets, len(labels))
-        bias = np.frombuffer(body[buckets * len(labels) * 8:], dtype="<f8")
-        return cls(
-            labels,
-            buckets,
-            weights.copy(),
-            bias.copy(),
-            config,
-            header["format_version"],
+        bias = np.frombuffer(
+            blob, dtype="<f8", count=len(labels), offset=start + weights.nbytes
         )
+        return cls(labels, buckets, weights, bias, config, header["format_version"])
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_bytes(self.to_bytes())
+        with open(path, "wb") as fh:
+            self._write(fh)
 
     @classmethod
     def load(cls, path: str | Path) -> "ClassifierModel":
@@ -211,39 +253,47 @@ def train(pairs: Sequence, config: TrainConfig = TrainConfig()) -> ClassifierMod
         raise ValueError(f"need at least 2 distinct labels, got {labels}")
     label_index = {lab: i for i, lab in enumerate(labels)}
 
-    examples: list[tuple[np.ndarray, np.ndarray, int]] = []
+    featurize = _Featurizer(config.buckets)
+    lr = config.learning_rate
+    examples: list[tuple[np.ndarray, np.ndarray, np.ndarray, int]] = []
     for p in pairs:
         if not p.text.strip():
             raise ValueError("training pair with empty text")
-        feats = _featurize(p.text, config.buckets)
-        idx = np.fromiter(feats.keys(), dtype=np.int64, count=len(feats))
-        val = np.fromiter(feats.values(), dtype=np.float64, count=len(feats))
-        examples.append((idx, val, label_index[p.label]))
+        idx, val = featurize(p.text)
+        examples.append((idx, val, lr * val[:, None], label_index[p.label]))
+    del featurize  # its caches are done with once every text has arrays
 
     weights = np.zeros((config.buckets, len(labels)), dtype=np.float64)
     bias = np.zeros(len(labels), dtype=np.float64)
     rng = Random(config.seed)
-    order = list(range(len(examples)))
-    lr = config.learning_rate
     for _ in range(config.epochs):
-        rng.shuffle(order)
-        for i in order:
-            idx, val, y = examples[i]
-            probs = _softmax(bias + val @ weights[idx])
+        # shuffle's swaps depend on the generator and the length only, so
+        # the visiting order is fixed by the seed and the number of pairs
+        rng.shuffle(examples)
+        for idx, val, step, y in examples:
+            rows = weights[idx]
+            scores = bias + val @ rows
+            probs = np.exp(scores - scores.max())
+            probs /= probs.sum()
             probs[y] -= 1.0
-            weights[idx] -= lr * val[:, None] * probs
+            rows -= step * probs
+            weights[idx] = rows
             bias -= lr * probs
     return ClassifierModel(tuple(labels), config.buckets, weights, bias, config)
 
 
-def predict(model: ClassifierModel, text: str) -> Prediction:
-    """Score one text; ties go to the earliest label in the model's label set."""
+def _probabilities(
+    model: ClassifierModel, featurize: _Featurizer, text: str
+) -> np.ndarray:
     if not text.strip():
         raise ValueError("cannot classify empty text")
-    feats = _featurize(text, model.buckets)
-    idx = np.fromiter(feats.keys(), dtype=np.int64, count=len(feats))
-    val = np.fromiter(feats.values(), dtype=np.float64, count=len(feats))
-    probs = _softmax(model.bias + val @ model.weights[idx])
+    idx, val = featurize(text)
+    return _softmax(model.bias + val @ model.weights[idx])
+
+
+def predict(model: ClassifierModel, text: str) -> Prediction:
+    """Score one text; ties go to the earliest label in the model's label set."""
+    probs = _probabilities(model, _Featurizer(model.buckets), text)
     best = int(np.argmax(probs))
     distribution = {lab: float(p) for lab, p in zip(model.labels, probs)}
     return Prediction(model.labels[best], float(probs[best]), distribution)
@@ -260,17 +310,16 @@ def decide_type5(model: ClassifierModel, report: MatchReport) -> dict[str, Decis
     The confidence is reported alongside but never changes the verdict; a
     predicted ``other`` can never equal an entity label, hence rejects.
     """
+    featurize = _Featurizer(model.buckets)
     decisions: dict[str, Decision] = {}
     for record in report.type5_records():
         assert record.pred is not None
-        prediction = predict(model, record.pred.text)
-        verdict = (
-            Verdict.ACCEPT
-            if prediction.label == record.pred.label
-            else Verdict.REJECT
-        )
+        probs = _probabilities(model, featurize, record.pred.text)
+        best = int(np.argmax(probs))
+        label = model.labels[best]
+        verdict = Verdict.ACCEPT if label == record.pred.label else Verdict.REJECT
         decisions[record.record_id] = Decision(
-            record.record_id, verdict, prediction.label, prediction.confidence
+            record.record_id, verdict, label, float(probs[best])
         )
     return decisions
 

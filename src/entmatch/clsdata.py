@@ -197,5 +197,7 @@ def read_pairs(path: str | Path) -> list[LabeledText]:
             pair = LabeledText(obj["text"], obj["label"], Origin(obj["origin"]))
         except (KeyError, ValueError):
             raise ParseError("malformed training pair", line_no) from None
+        if not pair.text.strip():
+            raise ParseError("training pair with empty text", line_no)
         pairs.append(pair)
     return pairs

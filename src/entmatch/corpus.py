@@ -285,7 +285,7 @@ def parse_iob(
 
 def _valid_iob_tag(tag: str) -> bool:
     m = _IOB_TAG_RE.fullmatch(tag)
-    return m is not None and bool(m.group(2).strip())
+    return m is not None and m.group(2).strip() not in ("", "O")
 
 
 def _document_from_iob(

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from entmatch.classifier import (
     ClassifierModel,
+    _Featurizer,
+    _hash64,
     Decision,
     TrainConfig,
     Verdict,
@@ -89,6 +93,16 @@ def test_training_rejects_blank_text():
         train(pairs, SMALL)
 
 
+# sha256 of train(separable_pairs(60), SMALL).to_bytes(); a constant, because
+# two runs of the same code agree even when a change has moved a model byte
+PINNED_MODEL_SHA256 = "a3e2d1a8200c75dbe9d1d876ce0cf36435a0dda3da10862e126dadc531b422ad"
+
+
+def test_model_bytes_are_pinned():
+    blob = train(separable_pairs(60), SMALL).to_bytes()
+    assert hashlib.sha256(blob).hexdigest() == PINNED_MODEL_SHA256
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
@@ -96,6 +110,39 @@ def test_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(buckets=1)
+
+
+def _reference_features(text: str, buckets: int) -> dict[int, float]:
+    # every feature string hashed from scratch, prefix included
+    lowered = text.lower()
+    counts: dict[int, float] = {}
+    for n in (3, 4, 5):
+        for i in range(len(lowered) - n + 1):
+            bucket = _hash64(f"c{n}|{lowered[i:i + n]}") % buckets
+            counts[bucket] = counts.get(bucket, 0.0) + 1.0
+    for word in lowered.split():
+        bucket = _hash64(f"w|{word}") % buckets
+        counts[bucket] = counts.get(bucket, 0.0) + 1.0
+    return counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.text(), min_size=1, max_size=6),
+    st.integers(2, 64) | st.just(1 << 20),
+)
+@example(["İstanbul İİİ", "istanbul", "İstanbul İİİ"], 1 << 20)
+@example(["Straße ΣΊΣΥΦΟΣ naïve", "ǅemal ﬁle", "𝔘𝔫𝔦𝔠𝔬𝔡𝔢 😀😀😀"], 7)
+@example(["abc abc", "abcd", "abc"], 2)
+def test_featurizer_matches_the_reference_construction(texts, buckets):
+    # one featurizer for all texts, so its caches carry from text to text
+    featurize = _Featurizer(buckets)
+    for text in texts:
+        expected = _reference_features(text, buckets)
+        assert list(featurize.counts(text).items()) == list(expected.items())
+        idx, val = featurize(text)
+        assert idx.tolist() == list(expected)
+        assert val.tolist() == list(expected.values())
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +246,22 @@ def test_decide_type5_rejects_other_predictions(liver_report):
         d.confidence is not None and 0.0 <= d.confidence <= 1.0
         for d in decisions.values()
     )
+
+
+# sha256 of the liver fixture's decision file per _liver_model(accept); a
+# constant for the same reason as PINNED_MODEL_SHA256
+PINNED_LIVER_DECISIONS_SHA256 = {
+    True: "1cc881d332fa8906802b40a3d52fe98d328ac0db0079df60dcafb3172b87ff50",
+    False: "b77c6b6d2fc4697083e33a6baf4e4f937505231f9ed66630f1bb80d3cb144efd",
+}
+
+
+@pytest.mark.parametrize("accept", [True, False])
+def test_liver_decisions_are_pinned(tmp_path, liver_report, accept):
+    path = tmp_path / "decisions.jsonl"
+    write_decisions(decide_type5(_liver_model(accept), liver_report), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == PINNED_LIVER_DECISIONS_SHA256[accept]
 
 
 # ---------------------------------------------------------------------------

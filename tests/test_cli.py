@@ -193,6 +193,13 @@ def test_eval_parse_failure_exits_2(workspace):
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize("tag", ["B-O", "I-O", "B- O"])
+def test_eval_entity_labelled_o_exits_2(workspace, capsys, tag):
+    (workspace / "pred.iob").write_text(f"word\t{tag}\n")
+    code, _ = _eval(workspace)
+    assert f"line 1: malformed tag {tag!r}" in _assert_parse_error(code, capsys)
+
+
 def test_eval_boolean_standoff_span_exits_2(workspace, capsys):
     line = {"doc_id": "d", "tokens": ["a", "b"], "entities": []}
     (workspace / "pred.jsonl").write_text(json.dumps(line) + "\n")
@@ -264,6 +271,45 @@ def _train_model(workspace):
     return model
 
 
+_MAXRSS_CHILD = (
+    "import resource, sys\n"
+    "import entmatch.cli\n"
+    "code = entmatch.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+)
+
+
+def _child_maxrss_kib(*argv):
+    """Run the CLI in a fresh interpreter; its peak resident set in KiB."""
+    result = subprocess.run(
+        [sys.executable, "-c", _MAXRSS_CHILD, *argv], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    code, maxrss = result.stdout.split()[-2:]
+    assert int(code) == EXIT_OK
+    return int(maxrss)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_train_and_refine_hold_one_copy_of_the_model(workspace):
+    # at the default 2**20 buckets the model dwarfs everything else these
+    # commands hold, so a second copy of it shows in the peak resident set
+    _, report = _eval(workspace)
+    pairs, model = workspace / "pairs.jsonl", workspace / "model.entcls"
+    code = main(["build-clsdata", str(workspace / "gold.iob"), "--out", str(pairs)])
+    assert code == EXIT_OK
+    bare = _child_maxrss_kib()
+    trained = _child_maxrss_kib("train-cls", str(pairs), "--out", str(model))
+    refined = _child_maxrss_kib(
+        "refine", str(report), "--model", str(model),
+        "--out", str(workspace / "refined.json"),
+    )
+    model_kib = model.stat().st_size / 1024
+    assert model_kib > 16 * 1024
+    assert trained - bare < 2 * model_kib
+    assert refined - bare < 2 * model_kib
+
+
 def test_build_clsdata_writes_labelled_pairs(workspace):
     pairs_path = workspace / "pairs.jsonl"
     code = main(
@@ -288,6 +334,16 @@ def test_train_cls_on_pair_of_wrong_type_exits_2(workspace, capsys, row):
     )
     code = main(["train-cls", str(pairs), "--out", str(workspace / "m.entcls")])
     _assert_parse_error(code, capsys)
+
+
+def test_train_cls_on_whitespace_only_text_exits_2(workspace, capsys):
+    pairs = workspace / "pairs.jsonl"
+    good = {"text": "fever", "label": "problem", "origin": "gold_entity"}
+    other = {"text": " \t ", "label": "other", "origin": "sampled_chunk"}
+    pairs.write_text(json.dumps(good) + "\n" + json.dumps(other) + "\n")
+    code = main(["train-cls", str(pairs), "--out", str(workspace / "m.entcls")])
+    err = _assert_parse_error(code, capsys)
+    assert "line 2: training pair with empty text" in err
 
 
 @pytest.mark.parametrize("flag", ["--stopwords", "--chunks"])
