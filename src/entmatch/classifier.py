@@ -20,7 +20,14 @@ from typing import BinaryIO, Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import ParseError, decode_utf8, is_int, read_jsonl
+from .corpus import (
+    ParseError,
+    decode_utf8,
+    has_lone_surrogate,
+    is_int,
+    open_output,
+    read_jsonl,
+)
 from .matcher import MatchReport, MatchRecord
 
 _MAGIC = b"ENTMATCH-CLS1"
@@ -198,6 +205,8 @@ class ClassifierModel:
                 raise ParseError(f"model header field {key!r} is missing or invalid")
         if not all(isinstance(label, str) for label in header["labels"]):
             raise ParseError("model header field 'labels' must hold strings")
+        if has_lone_surrogate(header["labels"]):
+            raise ParseError("model header labels hold a lone UTF-16 surrogate")
         labels = tuple(header["labels"])
         try:
             config = TrainConfig(
@@ -225,7 +234,7 @@ class ClassifierModel:
         return cls(labels, buckets, weights, bias, config, header["format_version"])
 
     def save(self, path: str | Path) -> None:
-        with open(path, "wb") as fh:
+        with open_output(path, binary=True) as fh:
             self._write(fh)
 
     @classmethod
@@ -358,7 +367,7 @@ def check_confidence(value: object, line_no: int) -> float:
 
 def write_classifier_requests(report: MatchReport, path: str | Path) -> None:
     """Write one ``{"id", "text"}`` request per Type-5 record."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for record in report.type5_records():
             assert record.pred is not None
             obj = {"id": record.record_id, "text": record.pred.text}
@@ -421,7 +430,7 @@ def run_external_classifier(
 
 
 def write_decisions(decisions: Mapping[str, Decision], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for rid in sorted(decisions):
             d = decisions[rid]
             obj = {

@@ -45,6 +45,8 @@ from .corpus import (
     Source,
     TagScheme,
     decode_utf8,
+    has_lone_surrogate,
+    open_output,
     pair_corpora,
     parse_iob,
     parse_standoff,
@@ -188,8 +190,13 @@ def _decisions_section(
     }
 
 
+def _write_text(text: str, path: str | Path) -> None:
+    with open_output(path) as fh:
+        fh.write(text)
+
+
 def _write_json(doc: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, ensure_ascii=False) + "\n", "utf-8")
+    _write_text(json.dumps(doc, indent=2, ensure_ascii=False) + "\n", path)
 
 
 def _render_markdown(doc: dict) -> str:
@@ -241,9 +248,24 @@ def _render_markdown(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _maybe_render(doc: dict, out_path: str, render: str) -> None:
+def _write_report(doc: dict, out_path: str, render: str) -> None:
+    """Write the JSON report and, with ``--render markdown``, its rendering.
+
+    ``refine`` and ``judge`` render sections of a report they read, so a
+    field the rendering cannot use is a parse error, raised before either
+    file is written.
+    """
+    markdown = None
     if render == "markdown":
-        Path(out_path).with_suffix(".md").write_text(_render_markdown(doc), "utf-8")
+        try:
+            markdown = _render_markdown(doc)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ParseError(
+                f"report cannot be rendered: missing or malformed field ({exc!r})"
+            ) from None
+    _write_json(doc, out_path)
+    if markdown is not None:
+        _write_text(markdown, Path(out_path).with_suffix(".md"))
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +288,8 @@ def _load_report(path: str, ledger: str | None) -> tuple[dict, MatchReport]:
         raise ParseError(f"report is not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("report must be a JSON object")
+    if has_lone_surrogate(doc):
+        raise ParseError("report holds a lone UTF-16 surrogate")
     outputs = doc.get("outputs")
     if not ledger and isinstance(outputs, dict):
         ledger = outputs.get("ledger")
@@ -307,8 +331,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         "summary": _summary_section(report),
         "metrics": _metrics_section(suite),
     }
-    _write_json(doc, args.out)
-    _maybe_render(doc, args.out, args.render)
+    _write_report(doc, args.out, args.render)
     exact = suite.overall[Convention.EXACT]
     relaxed = suite.overall[Convention.RELAXED]
     print(f"exact F1: {_pct(exact.f1)}  relaxed F1: {_pct(relaxed.f1)}")
@@ -367,8 +390,7 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     decisions_path = args.decisions_out or _decisions_default(args.out)
     write_decisions(decisions, decisions_path)
     doc["decisions"] = _decisions_section(report, decisions, source, decisions_path)
-    _write_json(doc, args.out)
-    _maybe_render(doc, args.out, args.render)
+    _write_report(doc, args.out, args.render)
     lb = doc["decisions"]["learning_based"]
     print(
         f"accepted {doc['decisions']['accepted']} of "
@@ -446,8 +468,7 @@ def _cmd_judge(args: argparse.Namespace) -> int:
         name: round(value, 4) for name, value in errors.items()
     }
     doc["judgement"] = section
-    _write_json(doc, args.out)
-    _maybe_render(doc, args.out, args.render)
+    _write_report(doc, args.out, args.render)
     for p, prf in human.items():
         print(f"{p.value} user F1: {_pct(prf.f1)}")
     return EXIT_OK
@@ -471,8 +492,8 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
     gold_path = prefix.with_name(prefix.name + ".gold.jsonl")
     pred_path = prefix.with_name(prefix.name + ".pred.jsonl")
     expected_path = prefix.with_name(prefix.name + ".expected.jsonl")
-    gold_path.write_text(serialize_standoff(corpus), "utf-8")
-    pred_path.write_text(serialize_standoff(pred), "utf-8")
+    _write_text(serialize_standoff(corpus), gold_path)
+    _write_text(serialize_standoff(pred), pred_path)
     write_expected_ledger(expected, expected_path)
     summary = "  ".join(f"{k.value}={expected.counts[k]}" for k in MismatchType)
     print(f"expected {summary}")

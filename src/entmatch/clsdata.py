@@ -11,6 +11,7 @@ entity classes.
 
 from __future__ import annotations
 
+import json
 import logging
 import string
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from pathlib import Path
 from random import Random
 from typing import Iterable, Sequence
 
-from .corpus import Corpus, Document, ParseError, decode_utf8, read_jsonl
+from .corpus import Corpus, Document, ParseError, decode_utf8, open_output, read_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -182,9 +183,7 @@ def build_training_set(
 
 
 def write_pairs(pairs: Iterable[LabeledText], path: str | Path) -> None:
-    import json
-
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for p in pairs:
             obj = {"text": p.text, "label": p.label, "origin": p.origin.value}
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")

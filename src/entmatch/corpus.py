@@ -13,22 +13,30 @@ its covered tokens joined by single spaces.
 Every entmatch input file is read through the helpers here:
 ``decode_utf8`` turns its bytes into text, ``read_jsonl`` yields the JSON
 object on each non-blank line (both raise ``ParseError`` for bad input),
-and ``is_int`` tells a JSON integer from ``true``/``false``.
+and ``is_int`` tells a JSON integer from ``true``/``false``. Every output
+file is opened through ``open_output``.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 import re
-from dataclasses import dataclass, replace
+import stat
+from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from pathlib import Path
+from typing import IO, Iterable, Iterator, Sequence
 
 log = logging.getLogger(__name__)
 
 _IOB_TAG_RE = re.compile(r"([BI])-(.*)\Z", re.DOTALL)
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+# A JSON escape of a UTF-16 surrogate: only a line of UTF-8 text that holds
+# one can decode to a lone surrogate.
+_SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 class ParseError(ValueError):
@@ -56,7 +64,8 @@ def decode_utf8(content: bytes | str, what: str) -> str:
 def read_jsonl(content: bytes | str, what: str) -> Iterator[tuple[int, dict]]:
     """Yield ``(line number, object)`` for each non-blank line of a JSONL input.
 
-    A line that is not JSON, or not a JSON object, raises ``ParseError``.
+    A line that is not JSON, not a JSON object, or holds a lone UTF-16
+    surrogate raises ``ParseError``.
     """
     for line_no, line in enumerate(decode_utf8(content, what).split("\n"), 1):
         if not line.strip():
@@ -67,7 +76,45 @@ def read_jsonl(content: bytes | str, what: str) -> Iterator[tuple[int, dict]]:
             raise ParseError(f"invalid JSON: {exc.msg}", line_no) from None
         if not isinstance(obj, dict):
             raise ParseError(f"{what} line must be a JSON object", line_no)
+        if _SURROGATE_ESCAPE_RE.search(line) and has_lone_surrogate(obj):
+            raise ParseError(f"{what} line holds a lone UTF-16 surrogate", line_no)
         yield line_no, obj
+
+
+def has_lone_surrogate(value: object) -> bool:
+    """Whether a decoded JSON value holds a lone UTF-16 surrogate.
+
+    JSON may escape one (``"\\ud800"``), but no UTF-8 output can encode it.
+    """
+    # ensure_ascii=False leaves a lone surrogate in the text as it is
+    return _SURROGATE_RE.search(json.dumps(value, ensure_ascii=False)) is not None
+
+
+def open_output(path: str | Path, binary: bool = False) -> IO:
+    """Open an output file for writing, as a new file where one exists.
+
+    An existing regular file with a single link is unlinked and created
+    again rather than truncated. ext4 (``auto_da_alloc``) writes a file
+    that was truncated and rewritten out to disk when it is closed, so the
+    next rerun must free its blocks, which on a ``discard`` mount stalls the
+    writer; a new file is left to delayed allocation, and a rerun that
+    replaces it before writeback frees nothing. Symlinks, hard-linked files,
+    devices, FIFOs and directories are opened as they are, so the bytes go
+    where they always went; when the unlink fails the file is truncated.
+    """
+    try:
+        st = os.lstat(path)
+    except OSError:
+        pass
+    else:
+        if stat.S_ISREG(st.st_mode) and st.st_nlink == 1:
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
+    if binary:
+        return open(path, "wb")
+    return open(path, "w", encoding="utf-8")
 
 
 def is_int(value: object) -> bool:
@@ -494,17 +541,11 @@ def pair_corpora(gold: Corpus, pred: Corpus) -> Corpus:
                 f"{gdoc.tokens[i]!r} != {pdoc.tokens[i]!r}"
             )
         gold_mentions = sorted(
-            (
-                replace(m, source=Source.GOLD)
-                for m in gdoc.gold_entities + gdoc.pred_entities
-            ),
+            _as_source(gdoc.gold_entities + gdoc.pred_entities, Source.GOLD),
             key=lambda m: m.start,
         )
         pred_mentions = sorted(
-            (
-                replace(m, source=Source.PREDICTED)
-                for m in pdoc.gold_entities + pdoc.pred_entities
-            ),
+            _as_source(pdoc.gold_entities + pdoc.pred_entities, Source.PREDICTED),
             key=lambda m: m.start,
         )
         check_flat(gdoc.doc_id, gold_mentions, Source.GOLD)
@@ -519,3 +560,13 @@ def pair_corpora(gold: Corpus, pred: Corpus) -> Corpus:
             )
         )
     return Corpus.from_documents(merged)
+
+
+def _as_source(mentions: list[EntityMention], source: Source) -> list[EntityMention]:
+    """The mentions with ``source``; a mention that already has it is kept."""
+    return [
+        m
+        if m.source is source
+        else EntityMention(m.doc_id, m.start, m.end, m.label, m.text, source)
+        for m in mentions
+    ]

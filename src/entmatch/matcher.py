@@ -19,11 +19,11 @@ consumed golds (stages 1-2) remain eligible anchors for stages 3-4.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -34,6 +34,7 @@ from .corpus import (
     Source,
     check_flat,
     is_int,
+    open_output,
     read_jsonl,
 )
 
@@ -189,7 +190,7 @@ class MatchReport:
     @classmethod
     def from_records(cls, records: Iterable[MatchRecord]) -> "MatchReport":
         recs = list(records)
-        counts = {k: 0 for k in MismatchType}
+        counts = dict.fromkeys(MismatchType, 0)
         per_label: dict[str, dict[MismatchType, int]] = {}
         gold_labels: dict[GoldKey, str] = {}
         pred_total = 0
@@ -197,7 +198,10 @@ class MatchReport:
         for r in recs:
             counts[r.kind] += 1
             label = r.gold.label if r.gold is not None else r.pred.label  # type: ignore[union-attr]
-            per_label.setdefault(label, {k: 0 for k in MismatchType})[r.kind] += 1
+            tally = per_label.get(label)
+            if tally is None:
+                tally = per_label[label] = dict.fromkeys(MismatchType, 0)
+            tally[r.kind] += 1
             if r.pred is not None:
                 pred_total += 1
                 pred_by_label[r.pred.label] += 1
@@ -246,10 +250,13 @@ def classify_corpus(corpus: Corpus) -> MatchReport:
 # record ledger (line-delimited JSON)
 
 
-def _mention_to_obj(m: EntityMention | None) -> dict | None:
+def _mention_json(m: EntityMention | None) -> str:
     if m is None:
-        return None
-    return {"span": [m.start, m.end], "label": m.label, "text": m.text}
+        return "null"
+    return (
+        f'{{"span": [{m.start}, {m.end}], "label": {encode_basestring(m.label)}, '
+        f'"text": {encode_basestring(m.text)}}}'
+    )
 
 
 def _mention_from_obj(
@@ -284,18 +291,22 @@ _SIDES_BY_KIND = {
 
 
 def write_ledger(report: MatchReport, path: str | Path) -> None:
-    """Write the record ledger, one JSON object per record."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in report.records:
-            obj = {
-                "record_id": r.record_id,
-                "doc_id": r.doc_id,
-                "kind": r.kind.value,
-                "pred": _mention_to_obj(r.pred),
-                "gold": _mention_to_obj(r.gold),
-                "overlap_tokens": r.overlap_tokens,
-            }
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    """Write the record ledger, one JSON object per record.
+
+    Each line is the bytes ``json.dumps(record, ensure_ascii=False)`` gives,
+    built by one f-string with the encoder ``json`` uses for strings; lines
+    are streamed, so the ledger is never held whole in memory.
+    """
+    with open_output(path) as fh:
+        fh.writelines(
+            f'{{"record_id": {encode_basestring(r.record_id)}, '
+            f'"doc_id": {encode_basestring(r.doc_id)}, '
+            f'"kind": "{r.kind.value}", '
+            f'"pred": {_mention_json(r.pred)}, '
+            f'"gold": {_mention_json(r.gold)}, '
+            f'"overlap_tokens": {r.overlap_tokens}}}\n'
+            for r in report.records
+        )
 
 
 def read_ledger(path: str | Path) -> MatchReport:

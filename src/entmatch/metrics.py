@@ -99,13 +99,15 @@ _CREDIT_KINDS: dict[Convention, frozenset[MismatchType]] = {
 # Label-blind conventions get no per-label breakdown.
 _OVERALL_ONLY = frozenset({Convention.SEMEVAL_PARTIAL_BOUNDARY})
 
-def _score(
+_Credit = tuple[Counter[str], Counter[str]]
+
+
+def _credit(
     report: MatchReport,
-    convention: Convention,
     kinds: frozenset[MismatchType],
     accepted: frozenset[str] = frozenset(),
-) -> tuple[PRF, dict[str, PRF]]:
-    """Overall and per-label scores from one pass over the records.
+) -> _Credit:
+    """Per-label ``tp_pred`` and ``tp_gold`` from one pass over the records.
 
     A record earns credit when its kind is in ``kinds`` or it is a Type-5
     record whose id is in ``accepted``; a gold mention earns gold-side
@@ -122,6 +124,14 @@ def _score(
             if key is not None and key not in credited_golds:
                 credited_golds.add(key)
                 tp_gold[r.gold.label] += 1  # type: ignore[union-attr]
+    return tp_pred, tp_gold
+
+
+def _score(
+    report: MatchReport, convention: Convention, credit: _Credit
+) -> tuple[PRF, dict[str, PRF]]:
+    """Overall and per-label scores of a convention from its credit."""
+    tp_pred, tp_gold = credit
     per_label = {
         label: PRF.from_counts(
             convention,
@@ -146,12 +156,13 @@ def _score(
 
 def exact_f(report: MatchReport) -> PRF:
     """Credit only span-and-label identical pairs."""
-    return _score(report, Convention.EXACT, _CREDIT_KINDS[Convention.EXACT])[0]
+    return _score(report, Convention.EXACT, _credit(report, _EXACT_KINDS))[0]
 
 
 def relaxed_f(report: MatchReport) -> PRF:
     """Credit exact matches plus every Type-5 (same-label overlap) record."""
-    return _score(report, Convention.RELAXED, _CREDIT_KINDS[Convention.RELAXED])[0]
+    kinds = _CREDIT_KINDS[Convention.RELAXED]
+    return _score(report, Convention.RELAXED, _credit(report, kinds))[0]
 
 
 def semeval_modes(report: MatchReport) -> dict[Convention, PRF]:
@@ -162,7 +173,7 @@ def semeval_modes(report: MatchReport) -> dict[Convention, PRF]:
     label and partial-boundary credits any overlapping pair.
     """
     return {
-        conv: _score(report, conv, _CREDIT_KINDS[conv])[0]
+        conv: _score(report, conv, _credit(report, _CREDIT_KINDS[conv]))[0]
         for conv in (
             Convention.SEMEVAL_STRICT,
             Convention.SEMEVAL_EXACT_BOUNDARY,
@@ -199,7 +210,8 @@ def refined_f(
     Rejected Type-5 predictions count as false positives; a gold covered
     only by rejected Type-5 records counts as a false negative.
     """
-    return _score(report, convention, _EXACT_KINDS, frozenset(accepted))[0]
+    credit = _credit(report, _EXACT_KINDS, frozenset(accepted))
+    return _score(report, convention, credit)[0]
 
 
 def learning_based_f(
@@ -221,13 +233,19 @@ class MetricSuite:
 def metric_suite(
     report: MatchReport, decisions: Mapping[str, Decision] | None = None
 ) -> MetricSuite:
-    scores = {
-        conv: _score(report, conv, kinds) for conv, kinds in _CREDIT_KINDS.items()
-    }
+    # conventions that credit the same kinds (semeval_strict and exact,
+    # semeval_type and relaxed) share one pass over the records
+    credits: dict[frozenset[MismatchType], _Credit] = {}
+    scores = {}
+    for conv, kinds in _CREDIT_KINDS.items():
+        if kinds not in credits:
+            credits[kinds] = _credit(report, kinds)
+        scores[conv] = _score(report, conv, credits[kinds])
     if decisions is not None:
         accepted = accepted_ids_from_decisions(report, decisions)
+        credit = _credit(report, _EXACT_KINDS, accepted)
         scores[Convention.LEARNING_BASED] = _score(
-            report, Convention.LEARNING_BASED, _EXACT_KINDS, accepted
+            report, Convention.LEARNING_BASED, credit
         )
     overall = {conv: score[0] for conv, score in scores.items()}
     per_label = {c: s[1] for c, s in scores.items() if c not in _OVERALL_ONLY}

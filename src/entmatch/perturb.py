@@ -16,7 +16,14 @@ from pathlib import Path
 from random import Random
 from typing import Iterable
 
-from .corpus import Corpus, Document, EntityMention, Source, mention_from_tokens
+from .corpus import (
+    Corpus,
+    Document,
+    EntityMention,
+    Source,
+    mention_from_tokens,
+    open_output,
+)
 from .matcher import MismatchType
 
 _Span = tuple[int, int]
@@ -232,7 +239,7 @@ def write_expected_ledger(ledger: ExpectedLedger, path: str | Path) -> None:
             return None
         return {"span": [span[0], span[1]], "label": label}
 
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for e in ledger.entries:
             obj = {
                 "doc_id": e.doc_id,

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import contextlib
+import errno
+import io
 import json
+import os
+import stat
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entmatch.cli import (
     EXIT_ALIGNMENT,
@@ -221,6 +227,46 @@ def test_eval_boolean_standoff_span_exits_2(workspace, capsys):
     _assert_parse_error(code, capsys)
 
 
+@pytest.mark.parametrize("field", ["token", "label"])
+def test_eval_lone_surrogate_exits_2(workspace, capsys, field):
+    line = {
+        "doc_id": "d",
+        "tokens": ["a", "b"],
+        "entities": [{"start": 0, "end": 2, "label": "X", "source": "gold"}],
+    }
+    if field == "token":
+        line["tokens"][1] = "\ud800"
+    else:
+        line["entities"][0]["label"] = "\udfff"
+    standoff = workspace / "gold.jsonl"
+    # json.dumps escapes the surrogate as \ud800, which JSON allows
+    standoff.write_text(json.dumps(line) + "\n")
+    code = main(
+        [
+            "eval",
+            str(standoff),
+            str(standoff),
+            "--format",
+            "standoff",
+            "--out",
+            str(workspace / "report.json"),
+        ]
+    )
+    err = _assert_parse_error(code, capsys)
+    assert "line 1: standoff file line holds a lone UTF-16 surrogate" in err
+    assert not (workspace / "report.ledger.jsonl").exists()
+
+
+def test_train_cls_on_lone_surrogate_exits_2(workspace, capsys):
+    pairs = workspace / "pairs.jsonl"
+    good = {"text": "fever", "label": "problem", "origin": "gold_entity"}
+    other = {"text": "a\udc00b", "label": "other", "origin": "sampled_chunk"}
+    pairs.write_text(json.dumps(good) + "\n" + json.dumps(other) + "\n")
+    code = main(["train-cls", str(pairs), "--out", str(workspace / "m.entcls")])
+    err = _assert_parse_error(code, capsys)
+    assert "line 2: pairs file line holds a lone UTF-16 surrogate" in err
+
+
 def test_eval_missing_file_exits_1(workspace):
     code = main(
         ["eval", str(workspace / "absent.iob"), str(workspace / "pred.iob")]
@@ -237,6 +283,121 @@ def test_usage_error_exits_1():
 def test_version_flag_exits_0(capsys):
     assert main(["--version"]) == 0
     assert "entmatch" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# output files
+
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+def test_eval_replaces_an_existing_output_with_a_new_file(workspace):
+    _, out = _eval(workspace)
+    ledger = workspace / "report.ledger.jsonl"
+    want = {path: path.read_bytes() for path in (out, ledger)}
+    stale = b"stale\n" * 100_000
+    for path in want:
+        path.write_bytes(stale)
+        path.chmod(0o600)
+    # an open handle keeps the old inode alive, so a new file cannot reuse it
+    with open(ledger, "rb") as old:
+        old_inode = os.fstat(old.fileno()).st_ino
+        code, _ = _eval(workspace)
+        assert code == EXIT_OK
+        assert ledger.stat().st_ino != old_inode
+        assert old.read() == stale
+    for path, content in want.items():
+        assert path.read_bytes() == content
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~_umask()
+
+
+def test_output_through_a_symlink_writes_its_target(workspace):
+    _, out = _eval(workspace)
+    want = (workspace / "report.ledger.jsonl").read_bytes()
+    target = workspace / "real.ledger.jsonl"
+    target.write_bytes(b"stale\n" * 100_000)
+    link = workspace / "link.ledger.jsonl"
+    link.symlink_to(target.name)
+    inode = target.stat().st_ino
+    code, _ = _eval(workspace, "--ledger", str(link))
+    assert code == EXIT_OK
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.stat().st_ino == inode
+    assert target.read_bytes() == want
+
+
+def test_hard_linked_output_is_written_in_place(workspace):
+    _, out = _eval(workspace)
+    ledger = workspace / "report.ledger.jsonl"
+    want = ledger.read_bytes()
+    ledger.write_bytes(b"stale\n")
+    other = workspace / "other-name.jsonl"
+    os.link(ledger, other)
+    code, _ = _eval(workspace)
+    assert code == EXIT_OK
+    assert ledger.stat().st_ino == other.stat().st_ino
+    assert ledger.read_bytes() == other.read_bytes() == want
+
+
+def test_device_output_is_never_unlinked(workspace, monkeypatch):
+    unlinked = []
+    monkeypatch.setattr(os, "unlink", lambda path, *a, **k: unlinked.append(path))
+    code = main(
+        [
+            "eval",
+            str(workspace / "gold.iob"),
+            str(workspace / "pred.iob"),
+            "--out",
+            os.devnull,
+            "--ledger",
+            os.devnull,
+        ]
+    )
+    assert code == EXIT_OK
+    assert unlinked == []
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+@pytest.mark.parametrize("flag", ["--out", "--ledger"])
+def test_directory_output_exits_1(workspace, capsys, flag):
+    target = workspace / "a-directory"
+    target.mkdir()
+    outputs = {"--out": workspace / "r.json", "--ledger": workspace / "l.jsonl"}
+    outputs[flag] = target
+    argv = ["eval", str(workspace / "gold.iob"), str(workspace / "pred.iob")]
+    for name, path in outputs.items():
+        argv += [name, str(path)]
+    assert main(argv) == EXIT_USAGE
+    assert "Traceback" not in capsys.readouterr().err
+    assert target.is_dir()
+
+
+def test_unwritable_directory_falls_back_to_truncation(workspace, monkeypatch):
+    _, out = _eval(workspace)
+    want = (workspace / "report.ledger.jsonl").read_bytes()
+    locked = workspace / "locked"
+    locked.mkdir()
+    ledger = locked / "ledger.jsonl"
+    ledger.write_bytes(b"stale\n" * 100_000)
+    inode = ledger.stat().st_ino
+    if os.geteuid() == 0:
+        # root may unlink in a read-only directory; refuse as the kernel would
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+        monkeypatch.setattr(os, "unlink", refuse)
+    locked.chmod(0o555)
+    try:
+        code, _ = _eval(workspace, "--ledger", str(ledger))
+    finally:
+        locked.chmod(0o755)
+    assert code == EXIT_OK
+    assert ledger.stat().st_ino == inode
+    assert ledger.read_bytes() == want
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +688,34 @@ def test_malformed_report_exits_2(workspace, capsys, command, content):
     assert "report" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["refine", "judge"])
+def test_report_that_cannot_be_rendered_exits_2(workspace, capsys, command):
+    _, out = _eval(workspace)
+    ids = _report_t5_ids(out)
+    doc = json.loads(out.read_text())
+    del doc["tool"]
+    out.write_text(json.dumps(doc))
+    responses = workspace / "responses.jsonl"
+    responses.write_text(
+        "".join(
+            json.dumps({"id": rid, "label": "problem", "confidence": 1.0}) + "\n"
+            for rid in ids
+        )
+    )
+    judgements = workspace / "judgements.tsv"
+    judgements.write_text("".join(f"{rid}\t4\n" for rid in ids))
+    argv = (
+        ["refine", str(out), "--external-decisions", str(responses)]
+        if command == "refine"
+        else ["judge", str(out), str(judgements)]
+    )
+    result = workspace / "result.json"
+    capsys.readouterr()
+    code = main(argv + ["--render", "markdown", "--out", str(result)])
+    assert "report cannot be rendered" in _assert_parse_error(code, capsys)
+    assert not result.exists()
+
+
 # ---------------------------------------------------------------------------
 # judgement pipeline
 
@@ -738,3 +927,148 @@ def test_console_script_smoke(workspace):
     )
     assert result.returncode == 0, result.stderr
     assert "exact F1" in result.stdout
+
+
+# ---------------------------------------------------------------------------
+# every input file of every subcommand, fuzzed
+
+# (argv, the input files it reads); all paths are relative to the work dir
+_FUZZ_COMMANDS = {
+    "eval-iob": (
+        ["eval", "gold.iob", "pred.iob", "--out", "o.json"],
+        ["gold.iob", "pred.iob"],
+    ),
+    "eval-standoff": (
+        ["eval", "gold.jsonl", "pred.jsonl", "--format", "standoff",
+         "--out", "o.json", "--render", "markdown"],
+        ["gold.jsonl", "pred.jsonl"],
+    ),
+    "build-clsdata": (
+        ["build-clsdata", "gold.iob", "--chunks", "chunks.txt",
+         "--stopwords", "stopwords.txt", "--out", "p.jsonl"],
+        ["gold.iob", "chunks.txt", "stopwords.txt"],
+    ),
+    "train-cls": (
+        ["train-cls", "pairs.jsonl", "--buckets", "64", "--epochs", "1",
+         "--out", "m.entcls"],
+        ["pairs.jsonl"],
+    ),
+    "refine-model": (
+        ["refine", "report.json", "--model", "model.entcls", "--out", "r.json"],
+        ["report.json", "report.ledger.jsonl", "model.entcls"],
+    ),
+    "refine-external": (
+        ["refine", "report.json", "--external-decisions", "responses.jsonl",
+         "--out", "r.json", "--render", "markdown"],
+        ["report.json", "report.ledger.jsonl", "responses.jsonl"],
+    ),
+    "judge": (
+        ["judge", "report.json", "judgements.tsv", "--decisions",
+         "decisions.jsonl", "--out", "j.json", "--render", "markdown"],
+        ["report.json", "report.ledger.jsonl", "judgements.tsv", "decisions.jsonl"],
+    ),
+    "perturb": (
+        ["perturb", "gold.jsonl", "--format", "standoff", "--split-rate", "0.3",
+         "--insert-rate", "0.3", "--out-prefix", "syn"],
+        ["gold.jsonl"],
+    ),
+}
+
+# fragments a mutation may splice in: JSON and IOB syntax, edge values
+_FUZZ_FRAGMENTS = [
+    b'"', b"{", b"}", b"[", b"]", b",", b":", b"\n", b"\t", b" ", b"\\",
+    b"null", b"true", b"-1", b"0", b"1e999", b"NaN", b'"\\ud800"', b'"O"',
+    b"B-", b"I-", b"O", b"-DOCSTART-", b"\xff", b"\xc3",
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A valid copy of every file the subcommands read, by name."""
+    from entmatch.corpus import Source, parse_iob, serialize_standoff
+
+    base = tmp_path_factory.mktemp("fuzz")
+    (base / "gold.iob").write_text(GOLD_IOB)
+    (base / "pred.iob").write_text(PRED_IOB)
+    (base / "gold.jsonl").write_text(serialize_standoff(parse_iob(GOLD_IOB)))
+    (base / "pred.jsonl").write_text(
+        serialize_standoff(parse_iob(PRED_IOB, source=Source.PREDICTED))
+    )
+    (base / "chunks.txt").write_text("the right lobe\ntwice daily\n")
+    (base / "stopwords.txt").write_text("the\nof\n")
+    cwd = os.getcwd()
+    os.chdir(base)
+    try:
+        for argv in (
+            ["eval", "gold.iob", "pred.iob", "--out", "report.json"],
+            ["build-clsdata", "gold.iob", "--out", "pairs.jsonl"],
+            ["train-cls", "pairs.jsonl", "--buckets", "64", "--out", "model.entcls"],
+            ["refine", "report.json", "--model", "model.entcls",
+             "--decisions-out", "decisions.jsonl", "--out", "refined.json"],
+        ):
+            assert main(argv) == EXIT_OK
+        ids = _report_t5_ids(base / "report.json")
+    finally:
+        os.chdir(cwd)
+    (base / "responses.jsonl").write_text(
+        "".join(
+            json.dumps({"id": rid, "label": "problem", "confidence": 0.5}) + "\n"
+            for rid in ids
+        )
+    )
+    (base / "judgements.tsv").write_text("".join(f"{rid}\t4\n" for rid in ids))
+    names = {name for _, files in _FUZZ_COMMANDS.values() for name in files}
+    return _FuzzInputs(base, {name: (base / name).read_bytes() for name in names})
+
+
+class _FuzzInputs:
+    """Valid file contents by name, and a directory to run commands in."""
+
+    def __init__(self, base, files: dict[str, bytes]):
+        self.base = base
+        self.files = files
+
+    def __repr__(self) -> str:
+        return f"<{len(self.files)} valid input files>"
+
+
+@st.composite
+def _mutated(draw, valid: bytes):
+    """``valid`` with one byte range replaced by fragments or random bytes."""
+    start = draw(st.integers(0, len(valid)))
+    end = draw(st.integers(start, min(len(valid), start + 16)))
+    filler = draw(
+        st.lists(st.sampled_from(_FUZZ_FRAGMENTS) | st.binary(max_size=4), max_size=3)
+    )
+    return valid[:start] + b"".join(filler) + valid[end:]
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ_COMMANDS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_any_input_file_gives_a_documented_exit_code(fuzz_inputs, command, data):
+    argv, files = _FUZZ_COMMANDS[command]
+    name = data.draw(st.sampled_from(files), label="file")
+    content = data.draw(
+        st.binary(max_size=64) | _mutated(fuzz_inputs.files[name]), label="content"
+    )
+    # one directory per command, emptied first so that every file is
+    # created anew: on ext4 a file rewritten in place is forced out to disk,
+    # which made this loop disk-bound
+    work = fuzz_inputs.base / command
+    work.mkdir(exist_ok=True)
+    for old in work.iterdir():
+        old.unlink()
+    for other in files:
+        valid = fuzz_inputs.files[other]
+        (work / other).write_bytes(content if other == name else valid)
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in range(5)
+    assert "Traceback" not in err.getvalue()

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from entmatch.corpus import Source
+from entmatch.corpus import EntityMention, Source
 from entmatch.matcher import (
+    _SIDES_BY_KIND,
     ERROR_TYPES,
     MatchRecord,
     MatchReport,
@@ -377,6 +379,81 @@ def test_ledger_round_trip(tmp_path):
     assert loaded.gold_total == report.gold_total
     assert loaded.pred_total == report.pred_total
     assert loaded.per_label_counts == report.per_label_counts
+
+
+_TRICKY = '"\\/\x00\x1f\x7f\t\n\r\u2028\u2029\U0001F600\u00e9'
+_LABELS = st.text(min_size=1).filter(lambda label: label != "O")
+
+
+@st.composite
+def _ledger_records(draw):
+    records = []
+    for i in range(draw(st.integers(0, 4))):
+        doc_id = draw(st.text())
+        kind = draw(st.sampled_from(list(MismatchType)))
+        sides = []
+        sources = (Source.PREDICTED, Source.GOLD)
+        for present, source in zip(_SIDES_BY_KIND[kind], sources):
+            if not present:
+                sides.append(None)
+                continue
+            start = draw(st.integers(0, 10**6))
+            end = start + draw(st.integers(1, 10**6))
+            label, text = draw(_LABELS), draw(st.text())
+            sides.append(EntityMention(doc_id, start, end, label, text, source))
+        pred, gold = sides
+        overlap = draw(st.integers(0, 10**6))
+        # ids only need to be unique; index them so arbitrary text stays legal
+        record_id = f"{draw(st.text())}#{i}"
+        records.append(MatchRecord(record_id, doc_id, kind, pred, gold, overlap))
+    return records
+
+
+def _reference_ledger(records) -> bytes:
+    def side(m):
+        if m is None:
+            return None
+        return {"span": [m.start, m.end], "label": m.label, "text": m.text}
+
+    lines = [
+        json.dumps(
+            {
+                "record_id": r.record_id,
+                "doc_id": r.doc_id,
+                "kind": r.kind.value,
+                "pred": side(r.pred),
+                "gold": side(r.gold),
+                "overlap_tokens": r.overlap_tokens,
+            },
+            ensure_ascii=False,
+        )
+        + "\n"
+        for r in records
+    ]
+    return "".join(lines).encode("utf-8")
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=_ledger_records())
+@example(records=[])
+@example(
+    records=[
+        MatchRecord(
+            _TRICKY,
+            _TRICKY,
+            MismatchType.TYPE5_RIGHT_LABEL_OVERLAP,
+            EntityMention(_TRICKY, 0, 2, _TRICKY, _TRICKY, Source.PREDICTED),
+            EntityMention(_TRICKY, 1, 3, "\\ud800", "", Source.GOLD),
+            1,
+        )
+    ]
+)
+def test_ledger_bytes_equal_json_dumps_per_record(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("ledger") / "ledger.jsonl"
+    report = MatchReport.from_records(records)
+    write_ledger(report, path)
+    assert path.read_bytes() == _reference_ledger(records)
+    assert read_ledger(path).records == records
 
 
 def test_ledger_rejects_duplicate_record_ids(tmp_path, liver_report):

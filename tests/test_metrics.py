@@ -233,6 +233,17 @@ def test_per_label_counts_sum_to_overall():
             assert sum(p.fn for p in by_label.values()) == overall.fn
 
 
+def test_every_suite_entry_names_its_convention():
+    # conventions that share their credited kinds share one pass over the
+    # records; each entry must still carry its own convention
+    report = _report(2)
+    suite = metric_suite(report, _decide_all(report, Verdict.ACCEPT))
+    for conv, prf in suite.overall.items():
+        assert prf.convention is conv
+    for conv, by_label in suite.per_label.items():
+        assert all(prf.convention is conv for prf in by_label.values())
+
+
 def test_partial_boundary_has_no_per_label_breakdown():
     suite = metric_suite(_report(1))
     assert Convention.SEMEVAL_PARTIAL_BOUNDARY in suite.overall

@@ -3,8 +3,8 @@
 Each JSONL file kind starts from one valid line; one field of it, at any
 depth, is replaced with an arbitrary JSON value, and whatever the reader
 returns must survive the use the CLI makes of it. Arbitrary bytes are fed
-to each reader as well. A source scan keeps decoding and JSON-line parsing
-in the shared helpers of ``entmatch.corpus``.
+to each reader as well. A source scan keeps decoding, JSON-line parsing
+and the opening of output files in the shared helpers of ``entmatch.corpus``.
 """
 
 from __future__ import annotations
@@ -198,3 +198,9 @@ def test_input_files_are_decoded_and_split_in_one_place():
         "judgement._parse_judgement_line",
     }
     assert _functions_containing("read_text(") == set()
+
+
+def test_output_files_are_opened_in_one_place():
+    assert _functions_containing("open(") == {"corpus.open_output"}
+    assert _functions_containing(".write_text(") == set()
+    assert _functions_containing(".write_bytes(") == set()
