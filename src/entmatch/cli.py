@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage, 2 parse error, 3 alignment error,
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
@@ -248,21 +249,25 @@ def _render_markdown(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _write_report(doc: dict, out_path: str, render: str) -> None:
-    """Write the JSON report and, with ``--render markdown``, its rendering.
+def _render_report(doc: dict, render: str) -> str | None:
+    """The ``--render markdown`` text of ``doc``, or None without ``--render``.
 
     ``refine`` and ``judge`` render sections of a report they read, so a
-    field the rendering cannot use is a parse error, raised before either
-    file is written.
+    field the rendering cannot use is a parse error, raised before any
+    output file is written.
     """
-    markdown = None
-    if render == "markdown":
-        try:
-            markdown = _render_markdown(doc)
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ParseError(
-                f"report cannot be rendered: missing or malformed field ({exc!r})"
-            ) from None
+    if render != "markdown":
+        return None
+    try:
+        return _render_markdown(doc)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ParseError(
+            f"report cannot be rendered: missing or malformed field ({exc!r})"
+        ) from None
+
+
+def _write_report(doc: dict, out_path: str, markdown: str | None) -> None:
+    """Write the JSON report and, given one, its markdown rendering."""
     _write_json(doc, out_path)
     if markdown is not None:
         _write_text(markdown, Path(out_path).with_suffix(".md"))
@@ -331,7 +336,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         "summary": _summary_section(report),
         "metrics": _metrics_section(suite),
     }
-    _write_report(doc, args.out, args.render)
+    _write_report(doc, args.out, _render_report(doc, args.render))
     exact = suite.overall[Convention.EXACT]
     relaxed = suite.overall[Convention.RELAXED]
     print(f"exact F1: {_pct(exact.f1)}  relaxed F1: {_pct(relaxed.f1)}")
@@ -388,9 +393,10 @@ def _cmd_refine(args: argparse.Namespace) -> int:
         decisions = load_external_decisions(report, args.external_decisions)
         source = f"external:{args.external_decisions}"
     decisions_path = args.decisions_out or _decisions_default(args.out)
-    write_decisions(decisions, decisions_path)
     doc["decisions"] = _decisions_section(report, decisions, source, decisions_path)
-    _write_report(doc, args.out, args.render)
+    markdown = _render_report(doc, args.render)
+    write_decisions(decisions, decisions_path)
+    _write_report(doc, args.out, markdown)
     lb = doc["decisions"]["learning_based"]
     print(
         f"accepted {doc['decisions']['accepted']} of "
@@ -468,7 +474,7 @@ def _cmd_judge(args: argparse.Namespace) -> int:
         name: round(value, 4) for name, value in errors.items()
     }
     doc["judgement"] = section
-    _write_report(doc, args.out, args.render)
+    _write_report(doc, args.out, _render_report(doc, args.render))
     for p, prf in human.items():
         print(f"{p.value} user F1: {_pct(prf.f1)}")
     return EXIT_OK
@@ -588,6 +594,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # A command builds hundreds of thousands of objects (mentions, records,
+    # parsed JSON) that form no reference cycles and live until it ends; the
+    # cyclic collector would traverse them again and again and free almost
+    # nothing, so it is paused while the command runs.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except UncoveredRecordsError as exc:
@@ -605,6 +617,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"entmatch: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def run() -> None:

@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import re
-import stat
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
@@ -91,27 +89,7 @@ def has_lone_surrogate(value: object) -> bool:
 
 
 def open_output(path: str | Path, binary: bool = False) -> IO:
-    """Open an output file for writing, as a new file where one exists.
-
-    An existing regular file with a single link is unlinked and created
-    again rather than truncated. ext4 (``auto_da_alloc``) writes a file
-    that was truncated and rewritten out to disk when it is closed, so the
-    next rerun must free its blocks, which on a ``discard`` mount stalls the
-    writer; a new file is left to delayed allocation, and a rerun that
-    replaces it before writeback frees nothing. Symlinks, hard-linked files,
-    devices, FIFOs and directories are opened as they are, so the bytes go
-    where they always went; when the unlink fails the file is truncated.
-    """
-    try:
-        st = os.lstat(path)
-    except OSError:
-        pass
-    else:
-        if stat.S_ISREG(st.st_mode) and st.st_nlink == 1:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+    """Open an output file for writing: created, or truncated where it exists."""
     if binary:
         return open(path, "wb")
     return open(path, "w", encoding="utf-8")
@@ -132,7 +110,7 @@ class TagScheme(Enum):
     IOB1 = "iob1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntityMention:
     """A labelled token span; ``start``/``end`` are half-open token indices."""
 

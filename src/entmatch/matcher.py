@@ -56,7 +56,7 @@ ERROR_TYPES: tuple[MismatchType, ...] = tuple(
 GoldKey = tuple[str, int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchRecord:
     record_id: str
     doc_id: str

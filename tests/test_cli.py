@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import contextlib
-import errno
+import gc
 import io
 import json
 import os
@@ -285,34 +285,39 @@ def test_version_flag_exits_0(capsys):
     assert "entmatch" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_restores_the_cyclic_collector(workspace, capsys, collecting):
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert _eval(workspace)[0] == EXIT_OK
+        assert gc.isenabled() is collecting
+        missing = ["eval", str(workspace / "missing.iob"), str(workspace / "pred.iob")]
+        assert main(missing) == EXIT_USAGE
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 # ---------------------------------------------------------------------------
 # output files
 
 
-def _umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
-def test_eval_replaces_an_existing_output_with_a_new_file(workspace):
+def test_eval_overwrites_an_existing_output_in_place(workspace):
     _, out = _eval(workspace)
     ledger = workspace / "report.ledger.jsonl"
     want = {path: path.read_bytes() for path in (out, ledger)}
-    stale = b"stale\n" * 100_000
+    inodes = {}
     for path in want:
-        path.write_bytes(stale)
+        path.write_bytes(b"stale\n" * 100_000)
         path.chmod(0o600)
-    # an open handle keeps the old inode alive, so a new file cannot reuse it
-    with open(ledger, "rb") as old:
-        old_inode = os.fstat(old.fileno()).st_ino
-        code, _ = _eval(workspace)
-        assert code == EXIT_OK
-        assert ledger.stat().st_ino != old_inode
-        assert old.read() == stale
+        inodes[path] = path.stat().st_ino
+    code, _ = _eval(workspace)
+    assert code == EXIT_OK
     for path, content in want.items():
         assert path.read_bytes() == content
-        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~_umask()
+        assert path.stat().st_ino == inodes[path]
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
 
 
 def test_output_through_a_symlink_writes_its_target(workspace):
@@ -322,44 +327,10 @@ def test_output_through_a_symlink_writes_its_target(workspace):
     target.write_bytes(b"stale\n" * 100_000)
     link = workspace / "link.ledger.jsonl"
     link.symlink_to(target.name)
-    inode = target.stat().st_ino
     code, _ = _eval(workspace, "--ledger", str(link))
     assert code == EXIT_OK
     assert link.is_symlink() and os.readlink(link) == target.name
-    assert target.stat().st_ino == inode
     assert target.read_bytes() == want
-
-
-def test_hard_linked_output_is_written_in_place(workspace):
-    _, out = _eval(workspace)
-    ledger = workspace / "report.ledger.jsonl"
-    want = ledger.read_bytes()
-    ledger.write_bytes(b"stale\n")
-    other = workspace / "other-name.jsonl"
-    os.link(ledger, other)
-    code, _ = _eval(workspace)
-    assert code == EXIT_OK
-    assert ledger.stat().st_ino == other.stat().st_ino
-    assert ledger.read_bytes() == other.read_bytes() == want
-
-
-def test_device_output_is_never_unlinked(workspace, monkeypatch):
-    unlinked = []
-    monkeypatch.setattr(os, "unlink", lambda path, *a, **k: unlinked.append(path))
-    code = main(
-        [
-            "eval",
-            str(workspace / "gold.iob"),
-            str(workspace / "pred.iob"),
-            "--out",
-            os.devnull,
-            "--ledger",
-            os.devnull,
-        ]
-    )
-    assert code == EXIT_OK
-    assert unlinked == []
-    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 @pytest.mark.parametrize("flag", ["--out", "--ledger"])
@@ -374,30 +345,6 @@ def test_directory_output_exits_1(workspace, capsys, flag):
     assert main(argv) == EXIT_USAGE
     assert "Traceback" not in capsys.readouterr().err
     assert target.is_dir()
-
-
-def test_unwritable_directory_falls_back_to_truncation(workspace, monkeypatch):
-    _, out = _eval(workspace)
-    want = (workspace / "report.ledger.jsonl").read_bytes()
-    locked = workspace / "locked"
-    locked.mkdir()
-    ledger = locked / "ledger.jsonl"
-    ledger.write_bytes(b"stale\n" * 100_000)
-    inode = ledger.stat().st_ino
-    if os.geteuid() == 0:
-        # root may unlink in a read-only directory; refuse as the kernel would
-        def refuse(path, *args, **kwargs):
-            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
-
-        monkeypatch.setattr(os, "unlink", refuse)
-    locked.chmod(0o555)
-    try:
-        code, _ = _eval(workspace, "--ledger", str(ledger))
-    finally:
-        locked.chmod(0o755)
-    assert code == EXIT_OK
-    assert ledger.stat().st_ino == inode
-    assert ledger.read_bytes() == want
 
 
 # ---------------------------------------------------------------------------
@@ -714,6 +661,7 @@ def test_report_that_cannot_be_rendered_exits_2(workspace, capsys, command):
     code = main(argv + ["--render", "markdown", "--out", str(result)])
     assert "report cannot be rendered" in _assert_parse_error(code, capsys)
     assert not result.exists()
+    assert not (workspace / "result.decisions.jsonl").exists()
 
 
 # ---------------------------------------------------------------------------
