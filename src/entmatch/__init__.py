@@ -18,7 +18,6 @@ from .classifier import (
     decide_type5,
     load_external_decisions,
     predict,
-    run_external_classifier,
     train,
     write_classifier_requests,
 )
@@ -27,10 +26,7 @@ from .clsdata import (
     LabeledText,
     Origin,
     build_training_set,
-    extract_pairs,
-    harvest_chunks,
     ingest_external_chunks,
-    sample_other,
 )
 from .corpus import (
     AlignmentError,
@@ -41,7 +37,6 @@ from .corpus import (
     Source,
     TagScheme,
     build_document,
-    iob2_tags,
     pair_corpora,
     parse_iob,
     parse_standoff,

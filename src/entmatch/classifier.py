@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from random import Random
-from typing import BinaryIO, Container, Iterable, Mapping, Sequence
+from typing import BinaryIO, Container, Mapping, Sequence
 
 import numpy as np
 
@@ -27,8 +27,9 @@ from .corpus import (
     is_int,
     open_output,
     read_jsonl,
+    write_jsonl,
 )
-from .matcher import MatchReport, MatchRecord
+from .matcher import MatchReport
 
 _MAGIC = b"ENTMATCH-CLS1"
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -308,11 +309,6 @@ def predict(model: ClassifierModel, text: str) -> Prediction:
     return Prediction(model.labels[best], float(probs[best]), distribution)
 
 
-def training_accuracy(model: ClassifierModel, pairs: Sequence) -> float:
-    hits = sum(1 for p in pairs if predict(model, p.text).label == p.label)
-    return hits / len(pairs)
-
-
 def decide_type5(model: ClassifierModel, report: MatchReport) -> dict[str, Decision]:
     """Accept a Type-5 record iff the model reproduces its label.
 
@@ -367,29 +363,26 @@ def check_confidence(value: object, line_no: int) -> float:
 
 def write_classifier_requests(report: MatchReport, path: str | Path) -> None:
     """Write one ``{"id", "text"}`` request per Type-5 record."""
-    with open_output(path) as fh:
-        for record in report.type5_records():
-            assert record.pred is not None
-            obj = {"id": record.record_id, "text": record.pred.text}
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    requests = (
+        {"id": r.record_id, "text": r.pred.text}  # type: ignore[union-attr]
+        for r in report.type5_records()
+    )
+    write_jsonl(requests, path)
 
 
 def load_external_decisions(
-    report: MatchReport,
-    path: str | Path,
-    label_set: Iterable[str] | None = None,
+    report: MatchReport, path: str | Path
 ) -> dict[str, Decision]:
     """Validate an external response file and convert it to decisions.
 
     Response ids must be exactly the report's Type-5 record ids; labels
-    must come from the given label set (default: labels present in the
-    report) plus ``other``; confidences must lie in [0, 1].
+    must be labels present in the report, or ``other``; confidences must
+    lie in [0, 1].
     """
     from .metrics import UncoveredRecordsError
 
     records = {r.record_id: r for r in report.type5_records()}
-    allowed = set(label_set) if label_set is not None else set(report.labels())
-    allowed.add("other")
+    allowed = {*report.labels(), "other"}
 
     responses: dict[str, tuple[str, float]] = {}
     for line_no, obj in read_jsonl(Path(path).read_bytes(), "response file"):
@@ -414,32 +407,24 @@ def load_external_decisions(
     return decisions
 
 
-def run_external_classifier(
-    report: MatchReport,
-    request_path: str | Path,
-    response_path: str | Path,
-    label_set: Iterable[str] | None = None,
-) -> dict[str, Decision]:
-    """Write the request file, then validate and convert the response file."""
-    write_classifier_requests(report, request_path)
-    return load_external_decisions(report, response_path, label_set)
-
-
 # ---------------------------------------------------------------------------
 # decision files
 
 
 def write_decisions(decisions: Mapping[str, Decision], path: str | Path) -> None:
-    with open_output(path) as fh:
-        for rid in sorted(decisions):
-            d = decisions[rid]
-            obj = {
+    """Write one decision per line, sorted by record id."""
+    write_jsonl(
+        (
+            {
                 "record_id": d.record_id,
                 "verdict": d.verdict.value,
                 "predicted_label": d.predicted_label,
                 "confidence": d.confidence,
             }
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            for _, d in sorted(decisions.items())
+        ),
+        path,
+    )
 
 
 def read_decisions(path: str | Path, report: MatchReport) -> dict[str, Decision]:

@@ -63,7 +63,6 @@ from .judgement import (
     score_distribution,
 )
 from .matcher import (
-    ERROR_TYPES,
     MatchReport,
     MismatchType,
     classify_corpus,
@@ -77,6 +76,7 @@ from .metrics import (
     UncoveredRecordsError,
     exact_f,
     learning_based_f,
+    learning_based_scores,
     macro_average,
     metric_suite,
     relaxed_f,
@@ -104,10 +104,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _pct(value: float) -> str:
     return f"{100.0 * value:.2f}"
-
-
-def _sha256(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _prf_dict(prf: PRF) -> dict:
@@ -173,7 +169,7 @@ def _decisions_section(
     errors = report.error_total()
     confidences = [d.confidence for d in decisions.values() if d.confidence is not None]
     low = sum(1 for c in confidences if c < 0.5)
-    suite = metric_suite(report, decisions)
+    overall, per_label = learning_based_scores(report, decisions)
     return {
         "source": source,
         "decisions_file": decisions_path,
@@ -183,10 +179,9 @@ def _decisions_section(
         "accepted_share_of_type5_pct": _pct(accepted / len(decisions)) if decisions else None,
         "accepted_share_of_errors_pct": _pct(accepted / errors) if errors else None,
         "low_confidence_share_pct": _pct(low / len(confidences)) if confidences else None,
-        "learning_based": _prf_dict(suite.overall[Convention.LEARNING_BASED]),
+        "learning_based": _prf_dict(overall),
         "per_label_learning_based": {
-            label: _prf_dict(prf)
-            for label, prf in suite.per_label[Convention.LEARNING_BASED].items()
+            label: _prf_dict(prf) for label, prf in per_label.items()
         },
     }
 
@@ -277,15 +272,24 @@ def _write_report(doc: dict, out_path: str, markdown: str | None) -> None:
 # corpus loading
 
 
-def _load_corpus(path: str, fmt: str, scheme: str, source: Source) -> Corpus:
+def _load_corpus(
+    path: str, fmt: str, scheme: str, source: Source
+) -> tuple[Corpus, str]:
+    """The corpus in ``path`` and the sha256 of the bytes it was parsed from."""
     data = Path(path).read_bytes()
     if fmt == "standoff":
-        return parse_standoff(data)
-    return parse_iob(data, TagScheme(scheme), source)
+        corpus = parse_standoff(data)
+    else:
+        corpus = parse_iob(data, TagScheme(scheme), source)
+    return corpus, hashlib.sha256(data).hexdigest()
 
 
 def _load_report(path: str, ledger: str | None) -> tuple[dict, MatchReport]:
-    """A run report and the match report of its ledger (or of ``ledger``)."""
+    """A run report and the match report of its ledger (or of ``ledger``).
+
+    A ledger path stored in the report is tried as it is, then relative to
+    the report's directory, since ``eval`` stores it as it was given.
+    """
     text = decode_utf8(Path(path).read_bytes(), "report")
     try:
         doc = json.loads(text)
@@ -295,12 +299,17 @@ def _load_report(path: str, ledger: str | None) -> tuple[dict, MatchReport]:
         raise ParseError("report must be a JSON object")
     if has_lone_surrogate(doc):
         raise ParseError("report holds a lone UTF-16 surrogate")
+    if ledger:
+        return doc, read_ledger(ledger)
     outputs = doc.get("outputs")
-    if not ledger and isinstance(outputs, dict):
-        ledger = outputs.get("ledger")
-    if not isinstance(ledger, str) or not ledger:
+    stored = outputs.get("ledger") if isinstance(outputs, dict) else None
+    if not isinstance(stored, str) or not stored:
         raise ValueError("report names no ledger; pass --ledger explicitly")
-    return doc, read_ledger(ledger)
+    beside = Path(path).parent / stored
+    for candidate in (Path(stored), beside):
+        if candidate.exists():
+            return doc, read_ledger(candidate)
+    raise ValueError(f"no such ledger file: {stored} (nor {beside})")
 
 
 def _ledger_default(out: str) -> str:
@@ -313,8 +322,10 @@ def _ledger_default(out: str) -> str:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    gold = _load_corpus(args.gold, args.format, args.scheme, Source.GOLD)
-    pred = _load_corpus(args.pred, args.format, args.scheme, Source.PREDICTED)
+    gold, gold_sha256 = _load_corpus(args.gold, args.format, args.scheme, Source.GOLD)
+    pred, pred_sha256 = _load_corpus(
+        args.pred, args.format, args.scheme, Source.PREDICTED
+    )
     corpus = pair_corpora(gold, pred)
     report = classify_corpus(corpus)
     ledger_path = args.ledger or _ledger_default(args.out)
@@ -326,11 +337,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             "command": "eval",
             "format": args.format,
             "scheme": args.scheme,
-            "seed": args.seed,
         },
         "inputs": {
-            "gold": {"path": args.gold, "sha256": _sha256(args.gold)},
-            "pred": {"path": args.pred, "sha256": _sha256(args.pred)},
+            "gold": {"path": args.gold, "sha256": gold_sha256},
+            "pred": {"path": args.pred, "sha256": pred_sha256},
         },
         "outputs": {"ledger": ledger_path},
         "summary": _summary_section(report),
@@ -345,7 +355,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_build_clsdata(args: argparse.Namespace) -> int:
-    corpus = _load_corpus(args.train, args.format, args.scheme, Source.GOLD)
+    corpus, _ = _load_corpus(args.train, args.format, args.scheme, Source.GOLD)
     stopwords = None
     if args.stopwords:
         stopwords = frozenset(
@@ -481,7 +491,7 @@ def _cmd_judge(args: argparse.Namespace) -> int:
 
 
 def _cmd_perturb(args: argparse.Namespace) -> int:
-    corpus = _load_corpus(args.gold, args.format, args.scheme, Source.GOLD)
+    corpus, _ = _load_corpus(args.gold, args.format, args.scheme, Source.GOLD)
     plan = PerturbationPlan(
         seed=args.seed,
         extend_rate=args.extend_rate,
@@ -525,7 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("gold")
     sub.add_argument("pred")
     _add_format_flags(sub)
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default="report.json")
     sub.add_argument("--ledger", default=None)
     sub.add_argument("--render", choices=("none", "markdown"), default="none")

@@ -11,7 +11,6 @@ entity classes.
 
 from __future__ import annotations
 
-import json
 import logging
 import string
 from dataclasses import dataclass, field
@@ -20,7 +19,7 @@ from pathlib import Path
 from random import Random
 from typing import Iterable, Sequence
 
-from .corpus import Corpus, Document, ParseError, decode_utf8, open_output, read_jsonl
+from .corpus import Corpus, Document, ParseError, decode_utf8, read_jsonl, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -73,7 +72,7 @@ def extract_pairs(corpus: Corpus) -> list[LabeledText]:
     """One (surface text, tag) pair per gold mention, duplicates kept."""
     pairs: list[LabeledText] = []
     for doc in corpus.documents:
-        for m in sorted(doc.gold_entities, key=lambda m: m.start):
+        for m in doc.gold_entities:
             pairs.append(LabeledText(m.text, m.label, Origin.GOLD_ENTITY))
     return pairs
 
@@ -183,10 +182,10 @@ def build_training_set(
 
 
 def write_pairs(pairs: Iterable[LabeledText], path: str | Path) -> None:
-    with open_output(path) as fh:
-        for p in pairs:
-            obj = {"text": p.text, "label": p.label, "origin": p.origin.value}
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    write_jsonl(
+        ({"text": p.text, "label": p.label, "origin": p.origin.value} for p in pairs),
+        path,
+    )
 
 
 def read_pairs(path: str | Path) -> list[LabeledText]:

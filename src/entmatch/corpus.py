@@ -14,7 +14,8 @@ Every entmatch input file is read through the helpers here:
 ``decode_utf8`` turns its bytes into text, ``read_jsonl`` yields the JSON
 object on each non-blank line (both raise ``ParseError`` for bad input),
 and ``is_int`` tells a JSON integer from ``true``/``false``. Every output
-file is opened through ``open_output``.
+file is opened through ``open_output``, and every JSONL output but the
+record ledger is written by ``write_jsonl``.
 """
 
 from __future__ import annotations
@@ -79,6 +80,12 @@ def read_jsonl(content: bytes | str, what: str) -> Iterator[tuple[int, dict]]:
         yield line_no, obj
 
 
+def write_jsonl(objects: Iterable[dict], path: str | Path) -> None:
+    """Write one ``json.dumps(obj, ensure_ascii=False)`` line per object."""
+    with open_output(path) as fh:
+        fh.writelines(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objects)
+
+
 def has_lone_surrogate(value: object) -> bool:
     """Whether a decoded JSON value holds a lone UTF-16 surrogate.
 
@@ -137,13 +144,24 @@ class EntityMention:
 
 @dataclass
 class Document:
-    """One document; ``sentence_starts`` are the first token index of each sentence."""
+    """One document; ``sentence_starts`` are the first token index of each sentence.
+
+    Each side's mentions are sorted by start and flat (no two overlap): the
+    constructor sorts them and raises ``ParseError`` for an overlap, so
+    code that reads a document's mentions neither sorts nor checks them.
+    """
 
     doc_id: str
     tokens: tuple[str, ...]
     sentence_starts: tuple[int, ...]
     gold_entities: list[EntityMention]
     pred_entities: list[EntityMention]
+
+    def __post_init__(self):
+        self.gold_entities = check_flat(self.doc_id, self.gold_entities, Source.GOLD)
+        self.pred_entities = check_flat(
+            self.doc_id, self.pred_entities, Source.PREDICTED
+        )
 
     def entities(self, source: Source) -> list[EntityMention]:
         return self.gold_entities if source is Source.GOLD else self.pred_entities
@@ -193,8 +211,10 @@ def mention_from_tokens(
     return EntityMention(doc_id, start, end, label.strip(), text, source)
 
 
-def check_flat(doc_id: str, mentions: Sequence[EntityMention], source: Source) -> None:
-    """Reject overlapping mentions on one side of a document."""
+def check_flat(
+    doc_id: str, mentions: Iterable[EntityMention], source: Source
+) -> list[EntityMention]:
+    """One side of a document sorted by start; an overlap raises ``ParseError``."""
     ordered = sorted(mentions, key=lambda m: (m.start, m.end))
     for a, b in zip(ordered, ordered[1:]):
         if b.start < a.end:
@@ -202,6 +222,7 @@ def check_flat(doc_id: str, mentions: Sequence[EntityMention], source: Source) -
                 f"overlapping {source.value} spans [{a.start},{a.end}) and "
                 f"[{b.start},{b.end}) in document {doc_id!r}"
             )
+    return ordered
 
 
 def build_document(
@@ -224,10 +245,6 @@ def build_document(
         mention_from_tokens(doc_id, tokens, s, e, lab, Source.PREDICTED)
         for s, e, lab in pred
     ]
-    check_flat(doc_id, gold_mentions, Source.GOLD)
-    check_flat(doc_id, pred_mentions, Source.PREDICTED)
-    gold_mentions.sort(key=lambda m: m.start)
-    pred_mentions.sort(key=lambda m: m.start)
     return Document(doc_id, tokens, starts, gold_mentions, pred_mentions)
 
 
@@ -451,13 +468,9 @@ def _document_from_standoff(obj: dict, line_no: int) -> Document:
         target = gold if source is Source.GOLD else pred
         target.append(mention_from_tokens(doc_id, tokens, start, end, label, source))
     try:
-        check_flat(doc_id, gold, Source.GOLD)
-        check_flat(doc_id, pred, Source.PREDICTED)
+        return Document(doc_id, tokens, tuple(starts), gold, pred)
     except ParseError as exc:
         raise ParseError(str(exc), line_no) from None
-    gold.sort(key=lambda m: m.start)
-    pred.sort(key=lambda m: m.start)
-    return Document(doc_id, tokens, tuple(starts), gold, pred)
 
 
 def serialize_standoff(corpus: Corpus) -> str:
@@ -488,7 +501,9 @@ def pair_corpora(gold: Corpus, pred: Corpus) -> Corpus:
     Documents are matched by ``doc_id`` and token texts must be identical
     position-by-position (case-sensitive). Every mention from the gold
     corpus becomes a gold mention and every mention from the prediction
-    corpus a predicted one, whatever source its file declared.
+    corpus a predicted one, whatever source its file declared. The merged
+    sides are checked for overlap again: one standoff file may hold gold-
+    and predicted-source mentions that overlap each other.
     """
     pred_map = {d.doc_id: d for d in pred.documents}
     gold_ids = {d.doc_id for d in gold.documents}
@@ -518,23 +533,13 @@ def pair_corpora(gold: Corpus, pred: Corpus) -> Corpus:
                 f"document {gdoc.doc_id!r}: token mismatch at index {i}: "
                 f"{gdoc.tokens[i]!r} != {pdoc.tokens[i]!r}"
             )
-        gold_mentions = sorted(
-            _as_source(gdoc.gold_entities + gdoc.pred_entities, Source.GOLD),
-            key=lambda m: m.start,
-        )
-        pred_mentions = sorted(
-            _as_source(pdoc.gold_entities + pdoc.pred_entities, Source.PREDICTED),
-            key=lambda m: m.start,
-        )
-        check_flat(gdoc.doc_id, gold_mentions, Source.GOLD)
-        check_flat(gdoc.doc_id, pred_mentions, Source.PREDICTED)
         merged.append(
             Document(
                 gdoc.doc_id,
                 gdoc.tokens,
                 gdoc.sentence_starts,
-                gold_mentions,
-                pred_mentions,
+                _as_source(gdoc.gold_entities + gdoc.pred_entities, Source.GOLD),
+                _as_source(pdoc.gold_entities + pdoc.pred_entities, Source.PREDICTED),
             )
         )
     return Corpus.from_documents(merged)

@@ -81,19 +81,27 @@ def classify_document(
     """Classify one document's predictions against its gold mentions.
 
     Returns records sorted by prediction start, then gold start (records
-    without a prediction sort last), with ids ``<doc_id>:<ordinal>``.
+    without a prediction sort last), with ids ``<doc_id>:<ordinal>``. The
+    mentions may come in any order; overlapping ones on one side raise
+    ``ParseError``.
     """
-    golds = sorted(gold, key=lambda m: m.start)
-    preds = sorted(pred, key=lambda m: m.start)
-    doc_ids = {m.doc_id for m in golds + preds}
+    doc_ids = {m.doc_id for m in [*gold, *pred]}
     if len(doc_ids) > 1:
         raise ValueError(f"mentions from multiple documents: {sorted(doc_ids)}")
     if not doc_ids:
         return []
     doc_id = doc_ids.pop()
-    check_flat(doc_id, golds, Source.GOLD)
-    check_flat(doc_id, preds, Source.PREDICTED)
+    return _classify(
+        doc_id,
+        check_flat(doc_id, gold, Source.GOLD),
+        check_flat(doc_id, pred, Source.PREDICTED),
+    )
 
+
+def _classify(
+    doc_id: str, golds: Sequence[EntityMention], preds: Sequence[EntityMention]
+) -> list[MatchRecord]:
+    """``classify_document`` on sides that are each sorted by start and flat."""
     staged: list[tuple[MismatchType, EntityMention | None, EntityMention | None]] = []
     consumed_gold: set[tuple[int, int]] = set()
     covered_gold: set[tuple[int, int]] = set()
@@ -225,15 +233,6 @@ class MatchReport:
     def type5_records(self) -> list[MatchRecord]:
         return [r for r in self.records if r.kind is MismatchType.TYPE5_RIGHT_LABEL_OVERLAP]
 
-    def gold_groups(self) -> dict[GoldKey, list[MatchRecord]]:
-        """Records grouped by the gold mention they reference."""
-        groups: dict[GoldKey, list[MatchRecord]] = {}
-        for r in self.records:
-            key = r.gold_key()
-            if key is not None:
-                groups.setdefault(key, []).append(r)
-        return groups
-
     def labels(self) -> list[str]:
         return sorted(set(self.gold_by_label) | set(self.pred_by_label))
 
@@ -242,7 +241,7 @@ def classify_corpus(corpus: Corpus) -> MatchReport:
     """Classify every document of an aligned corpus; records sort by doc id."""
     records: list[MatchRecord] = []
     for doc in sorted(corpus.documents, key=lambda d: d.doc_id):
-        records.extend(classify_document(doc.gold_entities, doc.pred_entities))
+        records.extend(_classify(doc.doc_id, doc.gold_entities, doc.pred_entities))
     return MatchReport.from_records(records)
 
 

@@ -214,12 +214,23 @@ def refined_f(
     return _score(report, convention, credit)[0]
 
 
+def learning_based_scores(
+    report: MatchReport, decisions: Mapping[str, Decision]
+) -> tuple[PRF, dict[str, PRF]]:
+    """Overall and per-label learning-based scores from one pass over the records.
+
+    Requires a decision per Type-5 record.
+    """
+    accepted = accepted_ids_from_decisions(report, decisions)
+    credit = _credit(report, _EXACT_KINDS, accepted)
+    return _score(report, Convention.LEARNING_BASED, credit)
+
+
 def learning_based_f(
     report: MatchReport, decisions: Mapping[str, Decision]
 ) -> PRF:
     """Score with classifier decisions; requires a decision per Type-5 record."""
-    accepted = accepted_ids_from_decisions(report, decisions)
-    return refined_f(report, accepted, Convention.LEARNING_BASED)
+    return learning_based_scores(report, decisions)[0]
 
 
 @dataclass
@@ -230,9 +241,8 @@ class MetricSuite:
     per_label: dict[Convention, dict[str, PRF]]
 
 
-def metric_suite(
-    report: MatchReport, decisions: Mapping[str, Decision] | None = None
-) -> MetricSuite:
+def metric_suite(report: MatchReport) -> MetricSuite:
+    """The six fixed conventions; decisions are scored by ``learning_based_scores``."""
     # conventions that credit the same kinds (semeval_strict and exact,
     # semeval_type and relaxed) share one pass over the records
     credits: dict[frozenset[MismatchType], _Credit] = {}
@@ -241,12 +251,6 @@ def metric_suite(
         if kinds not in credits:
             credits[kinds] = _credit(report, kinds)
         scores[conv] = _score(report, conv, credits[kinds])
-    if decisions is not None:
-        accepted = accepted_ids_from_decisions(report, decisions)
-        credit = _credit(report, _EXACT_KINDS, accepted)
-        scores[Convention.LEARNING_BASED] = _score(
-            report, Convention.LEARNING_BASED, credit
-        )
     overall = {conv: score[0] for conv, score in scores.items()}
     per_label = {c: s[1] for c, s in scores.items() if c not in _OVERALL_ONLY}
     return MetricSuite(overall, per_label)

@@ -10,20 +10,12 @@ clipped, so the emitted expectation ledger matches the matcher exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 from typing import Iterable
 
-from .corpus import (
-    Corpus,
-    Document,
-    EntityMention,
-    Source,
-    mention_from_tokens,
-    open_output,
-)
+from .corpus import Corpus, Document, Source, mention_from_tokens, write_jsonl
 from .matcher import MismatchType
 
 _Span = tuple[int, int]
@@ -127,7 +119,7 @@ def perturb(gold: Corpus, plan: PerturbationPlan) -> tuple[Corpus, ExpectedLedge
     for doc in gold.documents:
         rng = Random(f"{plan.seed}:{doc.doc_id}")
         n = len(doc.tokens)
-        golds = sorted(doc.gold_entities, key=lambda m: m.start)
+        golds = doc.gold_entities
         built: list[tuple[int, int, str]] = []
 
         def expect(
@@ -222,7 +214,7 @@ def perturb(gold: Corpus, plan: PerturbationPlan) -> tuple[Corpus, ExpectedLedge
 
         pred_mentions = [
             mention_from_tokens(doc.doc_id, doc.tokens, s, e, lab, Source.PREDICTED)
-            for s, e, lab in sorted(built)
+            for s, e, lab in built
         ]
         pred_docs.append(
             Document(doc.doc_id, doc.tokens, doc.sentence_starts, [], pred_mentions)
@@ -239,12 +231,15 @@ def write_expected_ledger(ledger: ExpectedLedger, path: str | Path) -> None:
             return None
         return {"span": [span[0], span[1]], "label": label}
 
-    with open_output(path) as fh:
-        for e in ledger.entries:
-            obj = {
+    write_jsonl(
+        (
+            {
                 "doc_id": e.doc_id,
                 "kind": e.kind.value,
                 "pred": side(e.pred_span, e.pred_label),
                 "gold": side(e.gold_span, e.gold_label),
             }
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            for e in ledger.entries
+        ),
+        path,
+    )

@@ -227,6 +227,32 @@ def test_eval_boolean_standoff_span_exits_2(workspace, capsys):
     _assert_parse_error(code, capsys)
 
 
+def test_eval_overlap_across_sources_of_one_file_exits_2(workspace, capsys):
+    # the two entities parse onto different sides of the gold file's
+    # document; pairing makes both gold mentions, and they overlap
+    line = {"doc_id": "d", "tokens": ["a", "b", "c"], "entities": []}
+    (workspace / "pred.jsonl").write_text(json.dumps(line) + "\n")
+    entities = [
+        {"start": 0, "end": 2, "label": "X", "source": "gold"},
+        {"start": 1, "end": 3, "label": "X", "source": "predicted"},
+    ]
+    (workspace / "gold.jsonl").write_text(
+        json.dumps({**line, "entities": entities}) + "\n"
+    )
+    code = main(
+        [
+            "eval",
+            str(workspace / "gold.jsonl"),
+            str(workspace / "pred.jsonl"),
+            "--format",
+            "standoff",
+            "--out",
+            str(workspace / "report.json"),
+        ]
+    )
+    assert "overlapping gold spans" in _assert_parse_error(code, capsys)
+
+
 @pytest.mark.parametrize("field", ["token", "label"])
 def test_eval_lone_surrogate_exits_2(workspace, capsys, field):
     line = {
@@ -573,6 +599,40 @@ def test_refine_without_ledger_reference_exits_1(workspace):
         ["refine", str(report), "--external-decisions", str(workspace / "x.jsonl")]
     )
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["refine", "judge"])
+def test_relative_ledger_path_resolves_beside_the_report(
+    workspace, monkeypatch, capsys, command
+):
+    # eval stores the ledger path as it was given, relative to its own
+    # working directory; refine and judge run here from the parent
+    monkeypatch.chdir(workspace)
+    argv = ["eval", "gold.iob", "pred.iob", "--out", "report.json",
+            "--ledger", "report.ledger.jsonl"]
+    assert main(argv) == EXIT_OK
+    ids = _report_t5_ids(workspace / "report.json")
+    (workspace / "responses.jsonl").write_text(
+        "".join(
+            json.dumps({"id": rid, "label": "problem", "confidence": 0.5}) + "\n"
+            for rid in ids
+        )
+    )
+    (workspace / "judgements.tsv").write_text("".join(f"{rid}\t4\n" for rid in ids))
+    monkeypatch.chdir(workspace.parent)
+    run = workspace.name
+    argv = (
+        ["refine", f"{run}/report.json", "--external-decisions", f"{run}/responses.jsonl"]
+        if command == "refine"
+        else ["judge", f"{run}/report.json", f"{run}/judgements.tsv"]
+    )
+    argv += ["--out", f"{run}/out.json"]
+    assert main(argv) == EXIT_OK
+    (workspace / "report.ledger.jsonl").unlink()
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "report.ledger.jsonl" in err and f"{run}/report.ledger.jsonl" in err
 
 
 def _model_blob(header: bytes) -> bytes:

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from entmatch.corpus import (
     AlignmentError,
     Corpus,
+    Document,
     ParseError,
     Source,
     TagScheme,
@@ -18,6 +19,7 @@ from entmatch.corpus import (
     parse_standoff,
     serialize_standoff,
 )
+from oracle import mentions
 
 
 def _spans(corpus, doc=0, source=Source.GOLD):
@@ -266,6 +268,15 @@ def test_pair_corpora_token_count_mismatch():
 def test_build_document_rejects_overlapping_same_source_spans():
     with pytest.raises(ParseError, match="overlapping gold spans"):
         build_document("d", [["a", "b", "c"]], gold=[(0, 2, "A"), (1, 3, "B")])
+
+
+def test_document_sorts_each_side_and_rejects_overlap():
+    late, early = mentions("d", [(2, 3, "A"), (0, 1, "A")], Source.GOLD)
+    doc = Document("d", ("a", "b", "c"), (0,), [late, early], [])
+    assert doc.gold_entities == [early, late]
+    overlapping = mentions("d", [(0, 2, "A"), (1, 3, "B")], Source.PREDICTED)
+    with pytest.raises(ParseError, match="overlapping predicted spans"):
+        Document("d", ("a", "b", "c"), (0,), [], overlapping)
 
 
 def test_build_document_skips_empty_sentences_in_sentence_starts():

@@ -339,6 +339,19 @@ def test_report_documents_sorted_by_id():
     assert [r.record_id for r in a.records] == [r.record_id for r in b.records]
 
 
+def test_classify_corpus_checks_no_flatness_again(monkeypatch):
+    # every Document is sorted and checked when built; the matcher's own
+    # guard is for mentions passed to classify_document directly
+    corpus = random_paired_corpus(random.Random(4), 4)
+    want = classify_corpus(corpus).records
+
+    def guard(*args):
+        raise AssertionError("check_flat called on a Document's mentions")
+
+    monkeypatch.setattr("entmatch.matcher.check_flat", guard)
+    assert classify_corpus(corpus).records == want
+
+
 def test_per_label_counts_use_gold_label_when_present():
     gold = mentions("d", [(0, 3, "A")], Source.GOLD)
     pred = mentions("d", [(2, 5, "B")], Source.PREDICTED)
@@ -356,12 +369,6 @@ def test_per_label_counts_use_pred_label_for_false_positives():
 def test_error_types_exclude_exact():
     assert EXACT not in ERROR_TYPES
     assert len(ERROR_TYPES) == 5
-
-
-def test_gold_groups_cover_every_gold(liver_report):
-    groups = liver_report.gold_groups()
-    assert set(groups) == {("radiology-1", 0, 9)}
-    assert len(groups[("radiology-1", 0, 9)]) == 2
 
 
 # ---------------------------------------------------------------------------

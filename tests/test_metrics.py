@@ -15,6 +15,7 @@ from entmatch.metrics import (
     accepted_ids_from_decisions,
     exact_f,
     learning_based_f,
+    learning_based_scores,
     macro_average,
     metric_suite,
     refined_f,
@@ -237,7 +238,12 @@ def test_every_suite_entry_names_its_convention():
     # conventions that share their credited kinds share one pass over the
     # records; each entry must still carry its own convention
     report = _report(2)
-    suite = metric_suite(report, _decide_all(report, Verdict.ACCEPT))
+    suite = metric_suite(report)
+    overall, per_label = learning_based_scores(
+        report, _decide_all(report, Verdict.ACCEPT)
+    )
+    suite.overall[Convention.LEARNING_BASED] = overall
+    suite.per_label[Convention.LEARNING_BASED] = per_label
     for conv, prf in suite.overall.items():
         assert prf.convention is conv
     for conv, by_label in suite.per_label.items():
@@ -253,10 +259,10 @@ def test_partial_boundary_has_no_per_label_breakdown():
 def test_suite_includes_learning_based_only_with_decisions(liver_report):
     without = metric_suite(liver_report)
     assert Convention.LEARNING_BASED not in without.overall
-    with_decisions = metric_suite(
+    overall, _ = learning_based_scores(
         liver_report, _decide_all(liver_report, Verdict.REJECT)
     )
-    assert with_decisions.overall[Convention.LEARNING_BASED].f1 == 0.0
+    assert overall.f1 == 0.0
 
 
 def test_per_label_scores_are_label_local():

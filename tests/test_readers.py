@@ -23,7 +23,7 @@ from entmatch.clsdata import read_pairs
 from entmatch.corpus import ParseError, parse_standoff, serialize_standoff
 from entmatch.judgement import UserProfile, human_f, load_judgements
 from entmatch.matcher import classify_corpus, read_ledger
-from entmatch.metrics import UncoveredRecordsError, metric_suite
+from entmatch.metrics import UncoveredRecordsError, learning_based_scores, metric_suite
 
 # one document whose two mentions form a single Type-5 record, "d:0"
 STANDOFF_LINE = {
@@ -73,7 +73,7 @@ def _use_pairs(path: Path) -> None:
 
 
 def _check_decisions(decisions) -> None:
-    metric_suite(REPORT, decisions)
+    learning_based_scores(REPORT, decisions)
     for d in decisions.values():
         assert d.confidence is None or 0.0 <= d.confidence <= 1.0
         assert d.predicted_label is None or isinstance(d.predicted_label, str)
