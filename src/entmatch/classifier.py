@@ -16,9 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from random import Random
-from typing import BinaryIO, Container, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, BinaryIO, Container, Mapping, Sequence
 
 from .corpus import (
     ParseError,
@@ -30,6 +28,11 @@ from .corpus import (
     write_jsonl,
 )
 from .matcher import MatchReport
+
+# numpy is imported inside the functions that need it, so that importing the
+# package, and every command that runs no model, does not load it
+if TYPE_CHECKING:
+    import numpy as np
 
 _MAGIC = b"ENTMATCH-CLS1"
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -141,6 +144,8 @@ class _Featurizer:
         """The text's bucket indices and counts as arrays, shared per text."""
         row = self._rows.get(text)
         if row is None:
+            import numpy as np
+
             feats = self.counts(text)
             idx = np.fromiter(feats.keys(), dtype=np.int64, count=len(feats))
             val = np.fromiter(feats.values(), dtype=np.float64, count=len(feats))
@@ -160,6 +165,8 @@ class ClassifierModel:
     format_version: int = 1
 
     def _write(self, fh: BinaryIO) -> None:
+        import numpy as np
+
         header = {
             "format_version": self.format_version,
             "labels": list(self.labels),
@@ -187,6 +194,8 @@ class ClassifierModel:
         ``weights`` and ``bias`` are views of ``blob``, read-only when it is
         ``bytes``, so the model holds no second copy of the payload.
         """
+        import numpy as np
+
         prefix = _MAGIC + b"\n"
         if not blob.startswith(prefix):
             raise ParseError("not a serialized classifier model")
@@ -244,6 +253,8 @@ class ClassifierModel:
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     shifted = scores - scores.max()
     exp = np.exp(shifted)
     return exp / exp.sum()
@@ -256,6 +267,8 @@ def train(pairs: Sequence, config: TrainConfig = TrainConfig()) -> ClassifierMod
     are shuffled once per epoch with a generator seeded from the config,
     so identical inputs and config reproduce the model byte for byte.
     """
+    import numpy as np
+
     if not pairs:
         raise ValueError("training set is empty")
     labels = sorted({p.label for p in pairs})
@@ -304,7 +317,7 @@ def _probabilities(
 def predict(model: ClassifierModel, text: str) -> Prediction:
     """Score one text; ties go to the earliest label in the model's label set."""
     probs = _probabilities(model, _Featurizer(model.buckets), text)
-    best = int(np.argmax(probs))
+    best = int(probs.argmax())
     distribution = {lab: float(p) for lab, p in zip(model.labels, probs)}
     return Prediction(model.labels[best], float(probs[best]), distribution)
 
@@ -320,7 +333,7 @@ def decide_type5(model: ClassifierModel, report: MatchReport) -> dict[str, Decis
     for record in report.type5_records():
         assert record.pred is not None
         probs = _probabilities(model, featurize, record.pred.text)
-        best = int(np.argmax(probs))
+        best = int(probs.argmax())
         label = model.labels[best]
         verdict = Verdict.ACCEPT if label == record.pred.label else Verdict.REJECT
         decisions[record.record_id] = Decision(

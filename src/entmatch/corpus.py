@@ -466,7 +466,8 @@ def _document_from_standoff(obj: dict, line_no: int) -> Document:
         except ValueError:
             raise ParseError(f"invalid entity source {source_value!r}", line_no) from None
         target = gold if source is Source.GOLD else pred
-        target.append(mention_from_tokens(doc_id, tokens, start, end, label, source))
+        text = " ".join(tokens[start:end])
+        target.append(EntityMention(doc_id, start, end, label.strip(), text, source))
     try:
         return Document(doc_id, tokens, tuple(starts), gold, pred)
     except ParseError as exc:

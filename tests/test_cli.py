@@ -12,6 +12,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import entmatch
 from entmatch.cli import (
     EXIT_ALIGNMENT,
     EXIT_OK,
@@ -1080,3 +1081,71 @@ def test_any_input_file_gives_a_documented_exit_code(fuzz_inputs, command, data)
         os.chdir(cwd)
     assert code in range(5)
     assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# numpy is loaded only by the commands that run the model
+
+_NUMPY_CHILD = (
+    "import sys\n"
+    "import entmatch\n"
+    "if sys.argv[1:]:\n"
+    "    from entmatch.cli import main\n"
+    "    print(main(sys.argv[1:]))\n"
+    "print('numpy' in sys.modules)\n"
+)
+
+# (argv, whether numpy is loaded after it); paths are relative to the
+# directory of the fuzz test's valid inputs, outputs are named np-*
+_NUMPY_COMMANDS = {
+    "import": ([], False),
+    "eval-iob": (["eval", "gold.iob", "pred.iob", "--out", "np-e.json"], False),
+    "eval-standoff": (
+        ["eval", "gold.jsonl", "pred.jsonl", "--format", "standoff",
+         "--out", "np-e.json"],
+        False,
+    ),
+    "build-clsdata": (["build-clsdata", "gold.iob", "--out", "np-p.jsonl"], False),
+    "perturb": (
+        ["perturb", "gold.iob", "--split-rate", "0.5", "--out-prefix", "np-syn"],
+        False,
+    ),
+    "refine-external": (
+        ["refine", "report.json", "--external-decisions", "responses.jsonl",
+         "--out", "np-r.json", "--decisions-out", "np-d.jsonl"],
+        False,
+    ),
+    "judge": (
+        ["judge", "report.json", "judgements.tsv", "--decisions",
+         "decisions.jsonl", "--out", "np-j.json"],
+        False,
+    ),
+    "train-cls": (
+        ["train-cls", "pairs.jsonl", "--buckets", "64", "--out", "np-m.entcls"],
+        True,
+    ),
+    "refine-model": (
+        ["refine", "report.json", "--model", "model.entcls", "--out", "np-r.json",
+         "--decisions-out", "np-d.jsonl"],
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(_NUMPY_COMMANDS))
+def test_numpy_is_loaded_only_where_the_model_runs(fuzz_inputs, command):
+    argv, loads_numpy = _NUMPY_COMMANDS[command]
+    # the child runs in the inputs' directory, so a relative PYTHONPATH
+    # would miss the package; point it at the one this test imported
+    package_root = os.path.dirname(os.path.dirname(entmatch.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run(
+        [sys.executable, "-c", _NUMPY_CHILD, *argv],
+        cwd=fuzz_inputs.base, env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.split()
+    if argv:
+        assert int(lines[-2]) == EXIT_OK, result.stderr
+    assert lines[-1] == str(loads_numpy)

@@ -1,23 +1,27 @@
-"""Every module of the package uses every name it imports.
+"""Every module of the package uses every name it imports; none loads numpy.
 
 Each ``src/entmatch`` module except ``__init__`` (whose imports are its
 exports) is parsed with ``ast``. A name counts as used when it is read
 anywhere in the module, annotations included, also inside a string
 annotation such as ``-> "Corpus"``.
+
+numpy is imported only inside the functions that run the model, so a
+module-level ``import numpy`` anywhere in the package, ``__init__``
+included, is an error unless it sits under ``if TYPE_CHECKING:``.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
 import entmatch
 
-MODULES = sorted(
-    p for p in Path(entmatch.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+ALL_MODULES = sorted(Path(entmatch.__file__).parent.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -51,3 +55,40 @@ def test_module_uses_every_name_it_imports(path):
     used = _used(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports (name: line) {unused}"
+
+
+def _import_time_statements(body: list[ast.stmt]) -> Iterator[ast.stmt]:
+    """Statements run when the module is imported: not those in a function
+    body, nor those under ``if TYPE_CHECKING:``."""
+    for node in body:
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) in (
+            "TYPE_CHECKING",
+            "typing.TYPE_CHECKING",
+        ):
+            yield from _import_time_statements(node.orelse)
+            continue
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            yield from _import_time_statements(getattr(node, field, []))
+
+
+def _imported_modules(node: ast.stmt) -> list[str]:
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+        return [node.module]
+    return []
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.stem)
+def test_module_does_not_import_numpy_at_import_time(path):
+    tree = ast.parse(path.read_text("utf-8"))
+    lines = [
+        node.lineno
+        for node in _import_time_statements(tree.body)
+        for module in _imported_modules(node)
+        if module.split(".")[0] == "numpy"
+    ]
+    assert not lines, f"{path.name}: module-level numpy import on lines {lines}"
