@@ -53,7 +53,7 @@ class Verdict(Enum):
     REJECT = "reject"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Decision:
     """Accept/reject verdict for one Type-5 record.
 

@@ -44,7 +44,7 @@ class Origin(Enum):
     EXTERNAL_CHUNK = "external_chunk"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LabeledText:
     text: str
     label: str

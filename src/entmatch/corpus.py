@@ -80,10 +80,14 @@ def read_jsonl(content: bytes | str, what: str) -> Iterator[tuple[int, dict]]:
         yield line_no, obj
 
 
+# json.dumps(obj, ensure_ascii=False) builds a new encoder on each call
+_JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def write_jsonl(objects: Iterable[dict], path: str | Path) -> None:
     """Write one ``json.dumps(obj, ensure_ascii=False)`` line per object."""
     with open_output(path) as fh:
-        fh.writelines(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objects)
+        fh.writelines(_JSONL_ENCODER.encode(obj) + "\n" for obj in objects)
 
 
 def has_lone_surrogate(value: object) -> bool:
@@ -117,7 +121,7 @@ class TagScheme(Enum):
     IOB1 = "iob1"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class EntityMention:
     """A labelled token span; ``start``/``end`` are half-open token indices."""
 

@@ -43,7 +43,7 @@ class UserProfile(Enum):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class JudgementRecord:
     record_id: str
     score: int

@@ -56,7 +56,7 @@ ERROR_TYPES: tuple[MismatchType, ...] = tuple(
 GoldKey = tuple[str, int, int]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MatchRecord:
     record_id: str
     doc_id: str
@@ -279,6 +279,8 @@ def _mention_from_obj(
         raise ParseError(str(exc), line_no) from None
 
 
+_KINDS = {k.value: k for k in MismatchType}
+
 _SIDES_BY_KIND = {
     MismatchType.EXACT_MATCH: (True, True),
     MismatchType.TYPE1_FALSE_POSITIVE: (True, False),
@@ -324,10 +326,10 @@ def read_ledger(path: str | Path) -> MatchReport:
         if record_id in seen_ids:
             raise ParseError(f"duplicate record id {record_id!r}", line_no)
         seen_ids.add(record_id)
-        try:
-            kind = MismatchType(obj.get("kind"))
-        except ValueError:
-            raise ParseError(f"unknown record kind {obj.get('kind')!r}", line_no) from None
+        raw_kind = obj.get("kind")
+        kind = _KINDS.get(raw_kind) if isinstance(raw_kind, str) else None
+        if kind is None:
+            raise ParseError(f"unknown record kind {raw_kind!r}", line_no)
         pred = _mention_from_obj(obj.get("pred"), doc_id, Source.PREDICTED, line_no)
         gold = _mention_from_obj(obj.get("gold"), doc_id, Source.GOLD, line_no)
         want_pred, want_gold = _SIDES_BY_KIND[kind]

@@ -10,6 +10,7 @@ clipped, so the emitted expectation ledger matches the matcher exactly.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
@@ -62,7 +63,7 @@ class PerturbationPlan:
             raise ValueError("extend_tokens and shrink_tokens must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExpectedEntry:
     doc_id: str
     kind: MismatchType
@@ -86,8 +87,11 @@ class ExpectedLedger:
         return cls(items, counts)
 
 
-def _overlaps(span: _Span, spans: Iterable[_Span]) -> bool:
-    return any(span[0] < e and s < span[1] for s, e in spans)
+def _overlaps(span: _Span, spans: list[_Span]) -> bool:
+    """Whether ``span`` overlaps one of ``spans``, which are sorted and flat."""
+    # spans[:i] start before span ends; of those, spans[i - 1] ends last
+    i = bisect_left(spans, (span[1],))
+    return i > 0 and spans[i - 1][1] > span[0]
 
 
 def _draw_operation(rng: Random, plan: PerturbationPlan) -> str | None:
@@ -112,6 +116,11 @@ def perturb(gold: Corpus, plan: PerturbationPlan) -> tuple[Corpus, ExpectedLedge
     Randomness is drawn from per-document generators seeded with the plan
     seed and the document id, so documents perturb independently and the
     whole run is reproducible.
+
+    A document's golds are sorted and flat, and so are the spans built from
+    them, in gold order: those built for ``golds[i]`` end at or before the
+    start of ``golds[i + 1]``. So an extension of ``golds[i]`` can collide
+    only with ``golds[i - 1]``, ``golds[i + 1]`` or the last span built.
     """
     labels = list(gold.label_set)
     pred_docs: list[Document] = []
@@ -133,23 +142,20 @@ def perturb(gold: Corpus, plan: PerturbationPlan) -> tuple[Corpus, ExpectedLedge
                 ExpectedEntry(doc.doc_id, kind, gold_span, pred_span, gold_label, pred_label)
             )
 
-        for g in golds:
-            other_spans = [m.span for m in golds if m is not g]
-            placed = [(s, e) for s, e, _ in built]
+        for i, g in enumerate(golds):
             operation = _draw_operation(rng, plan)
 
             if operation == "extend":
                 k = plan.extend_tokens
                 if rng.random() < 0.5:
                     span = (g.start - k, g.end)
+                    fits = span[0] >= max(
+                        golds[i - 1].end if i else 0, built[-1][1] if built else 0
+                    )
                 else:
                     span = (g.start, g.end + k)
-                if (
-                    span[0] >= 0
-                    and span[1] <= n
-                    and not _overlaps(span, other_spans)
-                    and not _overlaps(span, placed)
-                ):
+                    fits = span[1] <= (golds[i + 1].start if i + 1 < len(golds) else n)
+                if fits:
                     built.append((span[0], span[1], g.label))
                     expect(
                         MismatchType.TYPE5_RIGHT_LABEL_OVERLAP,
@@ -198,6 +204,7 @@ def perturb(gold: Corpus, plan: PerturbationPlan) -> tuple[Corpus, ExpectedLedge
             expect(MismatchType.EXACT_MATCH, g.span, g.span, g.label, g.label)
 
         gold_spans = [m.span for m in golds]
+        placed = [(s, e) for s, e, _ in built]
         attempts = int(round(plan.insert_rate * max(1, len(golds))))
         for _ in range(attempts):
             if n == 0:
@@ -205,10 +212,10 @@ def perturb(gold: Corpus, plan: PerturbationPlan) -> tuple[Corpus, ExpectedLedge
             start = rng.randrange(n)
             end = min(start + rng.randint(1, 2), n)
             span = (start, end)
-            placed = [(s, e) for s, e, _ in built]
             if _overlaps(span, gold_spans) or _overlaps(span, placed):
                 continue
             label = rng.choice(labels) if labels else "entity"
+            insort(placed, span)
             built.append((start, end, label))
             expect(MismatchType.TYPE1_FALSE_POSITIVE, None, span, None, label)
 

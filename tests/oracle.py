@@ -144,6 +144,130 @@ def recount_relaxed(corpus: Corpus):
 
 
 # ---------------------------------------------------------------------------
+# perturbation
+
+
+def oracle_perturb(gold: Corpus, plan):
+    """``perturb`` by linear scans: each collision check rebuilds and scans
+    every other gold span and every span built so far.
+
+    Draws from the same per-document generators in the same order as the
+    library. Returns the prediction corpus and the expectation entries as
+    ``(doc_id, kind, gold_span, pred_span, gold_label, pred_label)`` tuples.
+    """
+
+    def overlaps(span, spans):
+        return any(span[0] < e and s < span[1] for s, e in spans)
+
+    def draw(rng):
+        r = rng.random()
+        threshold = 0.0
+        for name, rate in (
+            ("extend", plan.extend_rate),
+            ("shrink", plan.shrink_rate),
+            ("split", plan.split_rate),
+            ("relabel", plan.relabel_rate),
+            ("drop", plan.drop_rate),
+        ):
+            threshold += rate
+            if r < threshold:
+                return name
+        return None
+
+    labels = list(gold.label_set)
+    pred_docs = []
+    entries = []
+    for doc in gold.documents:
+        rng = random.Random(f"{plan.seed}:{doc.doc_id}")
+        n = len(doc.tokens)
+        golds = doc.gold_entities
+        built = []
+
+        def expect(kind, gold_span, pred_span, gold_label, pred_label):
+            entries.append((doc.doc_id, kind, gold_span, pred_span, gold_label, pred_label))
+
+        for g in golds:
+            other_spans = [m.span for m in golds if m is not g]
+            placed = [(s, e) for s, e, _ in built]
+            operation = draw(rng)
+            if operation == "extend":
+                k = plan.extend_tokens
+                if rng.random() < 0.5:
+                    span = (g.start - k, g.end)
+                else:
+                    span = (g.start, g.end + k)
+                if (
+                    span[0] >= 0
+                    and span[1] <= n
+                    and not overlaps(span, other_spans)
+                    and not overlaps(span, placed)
+                ):
+                    built.append((span[0], span[1], g.label))
+                    expect(T5, g.span, span, g.label, g.label)
+                    continue
+            elif operation == "shrink":
+                k = plan.shrink_tokens
+                if g.end - g.start > k:
+                    if rng.random() < 0.5:
+                        span = (g.start + k, g.end)
+                    else:
+                        span = (g.start, g.end - k)
+                    built.append((span[0], span[1], g.label))
+                    expect(T5, g.span, span, g.label, g.label)
+                    continue
+            elif operation == "split":
+                if g.end - g.start >= 2:
+                    middle = rng.randint(g.start + 1, g.end - 1)
+                    for span in ((g.start, middle), (middle, g.end)):
+                        built.append((span[0], span[1], g.label))
+                        expect(T5, g.span, span, g.label, g.label)
+                    continue
+            elif operation == "relabel":
+                alternatives = [lab for lab in labels if lab != g.label]
+                if alternatives:
+                    label = rng.choice(alternatives)
+                    built.append((g.start, g.end, label))
+                    expect(T3, g.span, g.span, g.label, label)
+                    continue
+            elif operation == "drop":
+                expect(T2, g.span, None, g.label, None)
+                continue
+            built.append((g.start, g.end, g.label))
+            expect(EXACT, g.span, g.span, g.label, g.label)
+
+        gold_spans = [m.span for m in golds]
+        attempts = int(round(plan.insert_rate * max(1, len(golds))))
+        for _ in range(attempts):
+            if n == 0:
+                break
+            start = rng.randrange(n)
+            end = min(start + rng.randint(1, 2), n)
+            span = (start, end)
+            placed = [(s, e) for s, e, _ in built]
+            if overlaps(span, gold_spans) or overlaps(span, placed):
+                continue
+            label = rng.choice(labels) if labels else "entity"
+            built.append((start, end, label))
+            expect(T1, None, span, None, label)
+
+        pred_docs.append(
+            Document(
+                doc.doc_id,
+                doc.tokens,
+                doc.sentence_starts,
+                [],
+                [
+                    EntityMention(
+                        doc.doc_id, s, e, lab, " ".join(doc.tokens[s:e]), Source.PREDICTED
+                    )
+                    for s, e, lab in built
+                ],
+            )
+        )
+    return Corpus.from_documents(pred_docs), entries
+
+
+# ---------------------------------------------------------------------------
 # random input generation
 
 

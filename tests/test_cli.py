@@ -575,13 +575,35 @@ def test_refine_requires_exactly_one_decision_source(workspace):
 def test_ledger_mention_of_wrong_type_exits_2(
     workspace, capsys, command, field, value
 ):
+    def edit(row):
+        row["pred"][field] = value
+
+    code = _run_on_edited_type5_row(workspace, capsys, command, edit)
+    _assert_parse_error(code, capsys)
+
+
+@pytest.mark.parametrize("command", ["refine", "judge"])
+@pytest.mark.parametrize("kind", [["type5"], 5, None], ids=["list", "integer", "null"])
+def test_ledger_record_of_unknown_kind_exits_2(workspace, capsys, command, kind):
+    def edit(row):
+        row["kind"] = kind
+
+    code = _run_on_edited_type5_row(workspace, capsys, command, edit)
+    err = _assert_parse_error(code, capsys)
+    assert f"unknown record kind {kind!r}" in err
+
+
+def _run_on_edited_type5_row(workspace, capsys, command, edit):
+    """Run ``refine --model`` or ``judge`` after ``edit`` changed the ledger
+    row of the first Type-5 record; returns the exit code, with only that
+    command's output left in ``capsys``."""
     _, out = _eval(workspace)
     judgements = workspace / "judgements.tsv"
     judgements.write_text("".join(f"{rid}\t4\n" for rid in _report_t5_ids(out)))
     model = _train_model(workspace)
     ledger = workspace / "report.ledger.jsonl"
     rows = [json.loads(line) for line in ledger.read_text().splitlines()]
-    next(r for r in rows if r["kind"] == "type5")["pred"][field] = value
+    edit(next(r for r in rows if r["kind"] == "type5"))
     ledger.write_text("".join(json.dumps(r) + "\n" for r in rows))
     capsys.readouterr()
     argv = (
@@ -590,7 +612,7 @@ def test_ledger_mention_of_wrong_type_exits_2(
         else ["judge", str(out), str(judgements)]
     )
     argv += ["--out", str(workspace / "out.json")]
-    _assert_parse_error(main(argv), capsys)
+    return main(argv)
 
 
 def test_refine_without_ledger_reference_exits_1(workspace):

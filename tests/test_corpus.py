@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import json
 import logging
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from entmatch.corpus import (
     AlignmentError,
     Corpus,
     Document,
+    EntityMention,
     ParseError,
     Source,
     TagScheme,
@@ -18,6 +20,7 @@ from entmatch.corpus import (
     parse_iob,
     parse_standoff,
     serialize_standoff,
+    write_jsonl,
 )
 from oracle import mentions
 
@@ -299,3 +302,36 @@ def test_duplicate_doc_ids_rejected_in_corpus():
     docs = [build_document("d", [["a"]]), build_document("d", [["b"]])]
     with pytest.raises(ParseError, match="duplicate document id"):
         Corpus.from_documents(docs)
+
+
+@pytest.mark.parametrize(
+    "start, end, label",
+    [(-1, 2, "A"), (2, 2, "A"), (3, 2, "A"), (0, 1, ""), (0, 1, "O")],
+)
+def test_entity_mention_rejects_bad_span_or_label(start, end, label):
+    with pytest.raises(ValueError, match="invalid"):
+        EntityMention("d", start, end, label, "w", Source.GOLD)
+
+
+def test_entity_mention_is_unhashable():
+    # mentions are mutable, so nothing may key a set or dict on one
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(EntityMention("d", 0, 1, "A", "w", Source.GOLD))
+
+
+# JSON values as the writers meet them; a lone surrogate cannot be written as UTF-8
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(objects=st.lists(st.dictionaries(_TEXT, _JSON, max_size=4), max_size=5))
+def test_write_jsonl_writes_json_dumps_lines(tmp_path_factory, objects):
+    path = tmp_path_factory.mktemp("jsonl") / "out.jsonl"
+    write_jsonl(iter(objects), path)
+    want = "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objects)
+    assert path.read_bytes() == want.encode("utf-8")

@@ -1,4 +1,5 @@
-"""Every module of the package uses every name it imports; none loads numpy.
+"""Every module of the package uses every name it imports; none loads numpy;
+the per-record value classes are slotted and not frozen.
 
 Each ``src/entmatch`` module except ``__init__`` (whose imports are its
 exports) is parsed with ``ast``. A name counts as used when it is read
@@ -8,6 +9,11 @@ annotation such as ``-> "Corpus"``.
 numpy is imported only inside the functions that run the model, so a
 module-level ``import numpy`` anywhere in the package, ``__init__``
 included, is an error unless it sits under ``if TYPE_CHECKING:``.
+
+A class built once per mention, record or input line is a
+``@dataclass(slots=True)`` without ``frozen=True``: a frozen dataclass
+sets each field through ``object.__setattr__``, which makes every
+instance about three times as costly to build.
 """
 
 from __future__ import annotations
@@ -92,3 +98,36 @@ def test_module_does_not_import_numpy_at_import_time(path):
         if module.split(".")[0] == "numpy"
     ]
     assert not lines, f"{path.name}: module-level numpy import on lines {lines}"
+
+
+PER_RECORD_CLASSES = [
+    ("corpus", "EntityMention"),
+    ("matcher", "MatchRecord"),
+    ("perturb", "ExpectedEntry"),
+    ("classifier", "Decision"),
+    ("judgement", "JudgementRecord"),
+    ("clsdata", "LabeledText"),
+]
+
+
+def _dataclass_keywords(module: str, name: str) -> dict[str, object]:
+    """The keyword arguments of the ``@dataclass(...)`` decorating a class."""
+    tree = ast.parse((Path(entmatch.__file__).parent / f"{module}.py").read_text("utf-8"))
+    node = next(
+        n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name
+    )
+    call = next(
+        d
+        for d in node.decorator_list
+        if isinstance(d, ast.Call) and ast.unparse(d.func) == "dataclass"
+    )
+    return {kw.arg: ast.literal_eval(kw.value) for kw in call.keywords}
+
+
+@pytest.mark.parametrize(
+    "module, name", PER_RECORD_CLASSES, ids=[n for _, n in PER_RECORD_CLASSES]
+)
+def test_per_record_class_is_slotted_and_not_frozen(module, name):
+    keywords = _dataclass_keywords(module, name)
+    assert keywords.get("slots") is True, f"{module}.{name} must be slots=True"
+    assert not keywords.get("frozen"), f"{module}.{name} must not be frozen=True"

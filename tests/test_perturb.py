@@ -1,11 +1,20 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from entmatch.corpus import Corpus, Source, build_document, pair_corpora
+from entmatch.cli import main
+from entmatch.corpus import (
+    Corpus,
+    Source,
+    build_document,
+    pair_corpora,
+    serialize_standoff,
+)
 from entmatch.matcher import MismatchType, classify_corpus
 from entmatch.perturb import (
     ExpectedLedger,
@@ -13,7 +22,7 @@ from entmatch.perturb import (
     perturb,
     write_expected_ledger,
 )
-from oracle import random_spans
+from oracle import oracle_perturb, random_spans
 
 EXACT = MismatchType.EXACT_MATCH
 T1 = MismatchType.TYPE1_FALSE_POSITIVE
@@ -246,3 +255,91 @@ def test_expected_ledger_file_is_readable_jsonl(tmp_path):
     for row in rows:
         if row["kind"] == T3.value:
             assert row["gold"]["label"] != row["pred"]["label"]
+
+
+# ---------------------------------------------------------------------------
+# against the linear-scan oracle
+
+
+@st.composite
+def flat_gold_corpora(draw):
+    """One to three documents of 0-40 sorted, flat golds of 1-4 tokens each,
+    dense (every gold touches the next) or sparse."""
+    docs = []
+    for d in range(draw(st.integers(1, 3))):
+        max_gap = draw(st.sampled_from((0, 1, 3)))
+        spans = []
+        pos = draw(st.integers(0, 2))
+        for _ in range(draw(st.integers(0, 40))):
+            length = draw(st.integers(1, 4))
+            spans.append((pos, pos + length, draw(st.sampled_from("ABC"))))
+            pos += length + draw(st.integers(0, max_gap))
+        n = pos + draw(st.integers(0, 2))
+        docs.append(build_document(f"d{d}", [[f"w{i}" for i in range(n)]], gold=spans))
+    return Corpus.from_documents(docs)
+
+
+_RATE = st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def plans(draw):
+    rates = [draw(_RATE) for _ in range(5)]
+    total = sum(rates)
+    if total > 1.0:
+        rates = [rate / total for rate in rates]
+    extend, shrink, split, relabel, drop = rates
+    return PerturbationPlan(
+        seed=draw(st.integers(0, 1 << 16)),
+        extend_rate=extend,
+        extend_tokens=draw(st.integers(1, 4)),
+        shrink_rate=shrink,
+        shrink_tokens=draw(st.integers(1, 4)),
+        split_rate=split,
+        relabel_rate=relabel,
+        drop_rate=drop,
+        insert_rate=draw(_RATE),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(gold=flat_gold_corpora(), plan=plans())
+def test_perturb_matches_the_linear_scan_oracle(gold, plan):
+    pred, ledger = perturb(gold, plan)
+    oracle_pred, oracle_entries = oracle_perturb(gold, plan)
+    assert serialize_standoff(pred) == serialize_standoff(oracle_pred)
+    entries = [
+        (e.doc_id, e.kind, e.gold_span, e.pred_span, e.gold_label, e.pred_label)
+        for e in ledger.entries
+    ]
+    assert entries == oracle_entries
+
+
+# sha256 of the three files `perturb` writes for gold_corpus(29, n_docs=40)
+# under the plan below; constants, so a change to its draws or collision
+# checks that moves one output byte fails here
+PINNED_PERTURB_SHA256 = {
+    "gold": "1b4cdd6e1b69dc105865dd480890d85a104ebaeb3b4f60fed5632955981af250",
+    "pred": "a82b1acaf37fa2fd129aaa3153a8b0011446045a3ce5a4538a248e9e0affc79c",
+    "expected": "c8522806c0b6f10b827747cadaa45bc77d01f63e22c5f9fe57cb7d3ef4d5520f",
+}
+
+
+def test_perturb_output_files_are_pinned(tmp_path):
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text(serialize_standoff(gold_corpus(29, n_docs=40)), encoding="utf-8")
+    code = main(
+        [
+            "perturb", str(gold), "--format", "standoff", "--seed", "5",
+            "--extend-rate", "0.3", "--extend-tokens", "2",
+            "--shrink-rate", "0.15", "--split-rate", "0.15",
+            "--relabel-rate", "0.1", "--drop-rate", "0.1", "--insert-rate", "0.6",
+            "--out-prefix", str(tmp_path / "run"),
+        ]
+    )
+    assert code == 0
+    digests = {
+        part: hashlib.sha256((tmp_path / f"run.{part}.jsonl").read_bytes()).hexdigest()
+        for part in PINNED_PERTURB_SHA256
+    }
+    assert digests == PINNED_PERTURB_SHA256
