@@ -392,7 +392,7 @@ def load_external_decisions(
     must be labels present in the report, or ``other``; confidences must
     lie in [0, 1].
     """
-    from .metrics import UncoveredRecordsError
+    from .metrics import check_covered
 
     records = {r.record_id: r for r in report.type5_records()}
     allowed = {*report.labels(), "other"}
@@ -407,12 +407,9 @@ def load_external_decisions(
             )
         responses[rid] = (label, check_confidence(obj.get("confidence"), line_no))
 
-    missing = sorted(set(records) - set(responses))
-    if missing:
-        raise UncoveredRecordsError(missing)
-
     decisions: dict[str, Decision] = {}
-    for rid, record in records.items():
+    for rid in check_covered(report, responses):
+        record = records[rid]
         label, confidence = responses[rid]
         assert record.pred is not None
         verdict = Verdict.ACCEPT if label == record.pred.label else Verdict.REJECT

@@ -123,14 +123,16 @@ class TagScheme(Enum):
 
 @dataclass(slots=True)
 class EntityMention:
-    """A labelled token span; ``start``/``end`` are half-open token indices."""
+    """A labelled token span; ``start``/``end`` are half-open token indices.
+
+    Its side, gold or predicted, is the ``Document`` list that holds it.
+    """
 
     doc_id: str
     start: int
     end: int
     label: str
     text: str
-    source: Source
 
     def __post_init__(self):
         if self.start < 0 or self.start >= self.end:
@@ -198,12 +200,7 @@ class Corpus:
 
 
 def mention_from_tokens(
-    doc_id: str,
-    tokens: Sequence[str],
-    start: int,
-    end: int,
-    label: str,
-    source: Source,
+    doc_id: str, tokens: Sequence[str], start: int, end: int, label: str
 ) -> EntityMention:
     """Build a mention whose surface text is the space-joined covered tokens."""
     if start < 0 or end > len(tokens) or start >= end:
@@ -212,7 +209,7 @@ def mention_from_tokens(
             f"bounds [0, {len(tokens)})"
         )
     text = " ".join(tokens[start:end])
-    return EntityMention(doc_id, start, end, label.strip(), text, source)
+    return EntityMention(doc_id, start, end, label.strip(), text)
 
 
 def check_flat(
@@ -241,14 +238,8 @@ def build_document(
         raise ValueError("token text must be non-empty")
     offsets = accumulate((len(sentence) for sentence in sentences), initial=0)
     starts = tuple(start for start, sentence in zip(offsets, sentences) if sentence)
-    gold_mentions = [
-        mention_from_tokens(doc_id, tokens, s, e, lab, Source.GOLD)
-        for s, e, lab in gold
-    ]
-    pred_mentions = [
-        mention_from_tokens(doc_id, tokens, s, e, lab, Source.PREDICTED)
-        for s, e, lab in pred
-    ]
+    gold_mentions = [mention_from_tokens(doc_id, tokens, *span) for span in gold]
+    pred_mentions = [mention_from_tokens(doc_id, tokens, *span) for span in pred]
     return Document(doc_id, tokens, starts, gold_mentions, pred_mentions)
 
 
@@ -471,7 +462,7 @@ def _document_from_standoff(obj: dict, line_no: int) -> Document:
             raise ParseError(f"invalid entity source {source_value!r}", line_no) from None
         target = gold if source is Source.GOLD else pred
         text = " ".join(tokens[start:end])
-        target.append(EntityMention(doc_id, start, end, label.strip(), text, source))
+        target.append(EntityMention(doc_id, start, end, label.strip(), text))
     try:
         return Document(doc_id, tokens, tuple(starts), gold, pred)
     except ParseError as exc:
@@ -483,8 +474,9 @@ def serialize_standoff(corpus: Corpus) -> str:
     lines = []
     for doc in corpus.documents:
         entities = [
-            {"start": m.start, "end": m.end, "label": m.label, "source": m.source.value}
-            for m in doc.gold_entities + doc.pred_entities
+            {"start": m.start, "end": m.end, "label": m.label, "source": source.value}
+            for source in Source
+            for m in doc.entities(source)
         ]
         obj = {
             "doc_id": doc.doc_id,
@@ -543,18 +535,9 @@ def pair_corpora(gold: Corpus, pred: Corpus) -> Corpus:
                 gdoc.doc_id,
                 gdoc.tokens,
                 gdoc.sentence_starts,
-                _as_source(gdoc.gold_entities + gdoc.pred_entities, Source.GOLD),
-                _as_source(pdoc.gold_entities + pdoc.pred_entities, Source.PREDICTED),
+                gdoc.gold_entities + gdoc.pred_entities,
+                pdoc.gold_entities + pdoc.pred_entities,
             )
         )
     return Corpus.from_documents(merged)
 
-
-def _as_source(mentions: list[EntityMention], source: Source) -> list[EntityMention]:
-    """The mentions with ``source``; a mention that already has it is kept."""
-    return [
-        m
-        if m.source is source
-        else EntityMention(m.doc_id, m.start, m.end, m.label, m.text, source)
-        for m in mentions
-    ]

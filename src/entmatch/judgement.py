@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 from .classifier import Decision, Verdict, check_type5_id
 from .corpus import ParseError, decode_utf8, is_int
 from .matcher import MatchReport
-from .metrics import PRF, Convention, UncoveredRecordsError, refined_f
+from .metrics import PRF, Convention, check_covered, refined_f
 
 SCORE_MIN = 1
 SCORE_MAX = 5
@@ -69,11 +69,10 @@ def load_judgements(path: str | Path, report: MatchReport) -> list[JudgementReco
         raw_id, score = _parse_judgement_line(line, line_no)
         record_id = check_type5_id(raw_id, type5_ids, seen, "judgement", line_no)
         seen.add(record_id)
-        if not SCORE_MIN <= score <= SCORE_MAX:
-            raise ParseError(
-                f"score must be {SCORE_MIN}..{SCORE_MAX}, got {score}", line_no
-            )
-        records.append(JudgementRecord(record_id, score))
+        try:
+            records.append(JudgementRecord(record_id, score))
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no) from None
     return records
 
 
@@ -143,12 +142,10 @@ def human_f(
     those scored at or above the profile threshold.
     """
     scores = {r.record_id: r.score for r in records}
-    type5_ids = [r.record_id for r in report.type5_records()]
-    missing = sorted(set(type5_ids) - set(scores))
-    if missing:
-        raise UncoveredRecordsError(missing)
     accepted = frozenset(
-        rid for rid in type5_ids if scores[rid] >= profile.min_accepted_score
+        rid
+        for rid in check_covered(report, scores)
+        if scores[rid] >= profile.min_accepted_score
     )
     return refined_f(report, accepted, profile.convention)
 

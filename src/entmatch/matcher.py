@@ -259,7 +259,7 @@ def _mention_json(m: EntityMention | None) -> str:
 
 
 def _mention_from_obj(
-    obj: dict | None, doc_id: str, source: Source, line_no: int
+    obj: dict | None, doc_id: str, line_no: int
 ) -> EntityMention | None:
     if obj is None:
         return None
@@ -274,7 +274,7 @@ def _mention_from_obj(
     if not isinstance(label, str) or not isinstance(text, str):
         raise ParseError("mention label and text must be strings", line_no)
     try:
-        return EntityMention(doc_id, start, end, label, text, source)
+        return EntityMention(doc_id, start, end, label, text)
     except ValueError as exc:
         raise ParseError(str(exc), line_no) from None
 
@@ -312,10 +312,7 @@ def write_ledger(report: MatchReport, path: str | Path) -> None:
 
 def read_ledger(path: str | Path) -> MatchReport:
     """Reconstruct a full match report from a record ledger file."""
-    try:
-        content = Path(path).read_bytes()
-    except IsADirectoryError:
-        raise ParseError(f"{path} is a directory") from None
+    content = Path(path).read_bytes()
     records: list[MatchRecord] = []
     seen_ids: set[str] = set()
     for line_no, obj in read_jsonl(content, "ledger"):
@@ -330,8 +327,8 @@ def read_ledger(path: str | Path) -> MatchReport:
         kind = _KINDS.get(raw_kind) if isinstance(raw_kind, str) else None
         if kind is None:
             raise ParseError(f"unknown record kind {raw_kind!r}", line_no)
-        pred = _mention_from_obj(obj.get("pred"), doc_id, Source.PREDICTED, line_no)
-        gold = _mention_from_obj(obj.get("gold"), doc_id, Source.GOLD, line_no)
+        pred = _mention_from_obj(obj.get("pred"), doc_id, line_no)
+        gold = _mention_from_obj(obj.get("gold"), doc_id, line_no)
         want_pred, want_gold = _SIDES_BY_KIND[kind]
         if (pred is not None) != want_pred or (gold is not None) != want_gold:
             raise ParseError(

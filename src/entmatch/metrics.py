@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 from .classifier import Decision, Verdict
 from .matcher import GoldKey, MatchReport, MismatchType
@@ -183,18 +183,25 @@ def semeval_modes(report: MatchReport) -> dict[Convention, PRF]:
     }
 
 
-def _type5_ids(report: MatchReport) -> list[str]:
-    return [r.record_id for r in report.type5_records()]
+def check_covered(report: MatchReport, covered: Container[str]) -> list[str]:
+    """The report's Type-5 record ids, each of which ``covered`` must hold.
+
+    Every verdict source (classifier, external decisions, expert scores)
+    must cover every Type-5 record; otherwise ``UncoveredRecordsError``
+    names the missing ids, sorted.
+    """
+    ids = [r.record_id for r in report.type5_records()]
+    missing = sorted(rid for rid in ids if rid not in covered)
+    if missing:
+        raise UncoveredRecordsError(missing)
+    return ids
 
 
 def accepted_ids_from_decisions(
     report: MatchReport, decisions: Mapping[str, Decision]
 ) -> frozenset[str]:
     """Validate coverage and reduce decisions to the accepted id set."""
-    ids = _type5_ids(report)
-    missing = sorted(set(ids) - set(decisions))
-    if missing:
-        raise UncoveredRecordsError(missing)
+    ids = check_covered(report, decisions)
     return frozenset(
         rid for rid in ids if decisions[rid].verdict is Verdict.ACCEPT
     )

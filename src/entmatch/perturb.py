@@ -16,7 +16,7 @@ from pathlib import Path
 from random import Random
 from typing import Iterable
 
-from .corpus import Corpus, Document, Source, mention_from_tokens, write_jsonl
+from .corpus import Corpus, Document, mention_from_tokens, write_jsonl
 from .matcher import MismatchType
 
 _Span = tuple[int, int]
@@ -220,8 +220,7 @@ def perturb(gold: Corpus, plan: PerturbationPlan) -> tuple[Corpus, ExpectedLedge
             expect(MismatchType.TYPE1_FALSE_POSITIVE, None, span, None, label)
 
         pred_mentions = [
-            mention_from_tokens(doc.doc_id, doc.tokens, s, e, lab, Source.PREDICTED)
-            for s, e, lab in built
+            mention_from_tokens(doc.doc_id, doc.tokens, *span) for span in built
         ]
         pred_docs.append(
             Document(doc.doc_id, doc.tokens, doc.sentence_starts, [], pred_mentions)

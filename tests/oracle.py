@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from entmatch.corpus import Corpus, Document, EntityMention, Source, build_document
+from entmatch.corpus import Corpus, Document, EntityMention, build_document
 from entmatch.matcher import MismatchType
 
 EXACT = MismatchType.EXACT_MATCH
@@ -257,9 +257,7 @@ def oracle_perturb(gold: Corpus, plan):
                 doc.sentence_starts,
                 [],
                 [
-                    EntityMention(
-                        doc.doc_id, s, e, lab, " ".join(doc.tokens[s:e]), Source.PREDICTED
-                    )
+                    EntityMention(doc.doc_id, s, e, lab, " ".join(doc.tokens[s:e]))
                     for s, e, lab in built
                 ],
             )
@@ -310,10 +308,10 @@ def random_paired_corpus(rng: random.Random, n_docs: int, **kwargs) -> Corpus:
     )
 
 
-def mentions(doc_id: str, spans, source: Source) -> list[EntityMention]:
+def mentions(doc_id: str, spans) -> list[EntityMention]:
     """Build raw mentions with synthetic token text for matcher-level tests."""
     out = []
     for start, end, label in spans:
         text = " ".join(f"w{i}" for i in range(start, end))
-        out.append(EntityMention(doc_id, start, end, label, text, source))
+        out.append(EntityMention(doc_id, start, end, label, text))
     return out

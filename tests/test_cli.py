@@ -406,6 +406,18 @@ def _train_model(workspace):
     return model
 
 
+def _child_env():
+    """The environment for a child interpreter that imports this ``entmatch``.
+
+    A child may run in another directory, where a relative PYTHONPATH (or
+    pytest's ``pythonpath`` setting, which reaches no child) would miss the
+    package, so the path of the one this test imported leads PYTHONPATH.
+    """
+    package_root = os.path.dirname(os.path.dirname(entmatch.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 _MAXRSS_CHILD = (
     "import resource, sys\n"
     "import entmatch.cli\n"
@@ -417,7 +429,8 @@ _MAXRSS_CHILD = (
 def _child_maxrss_kib(*argv):
     """Run the CLI in a fresh interpreter; its peak resident set in KiB."""
     result = subprocess.run(
-        [sys.executable, "-c", _MAXRSS_CHILD, *argv], capture_output=True, text=True
+        [sys.executable, "-c", _MAXRSS_CHILD, *argv],
+        env=_child_env(), capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
     code, maxrss = result.stdout.split()[-2:]
@@ -953,6 +966,7 @@ def test_console_script_smoke(workspace):
             "--out",
             str(workspace / "cli-report.json"),
         ],
+        env=_child_env(),
         capture_output=True,
         text=True,
     )
@@ -1105,6 +1119,52 @@ def test_any_input_file_gives_a_documented_exit_code(fuzz_inputs, command, data)
     assert "Traceback" not in err.getvalue()
 
 
+# every input argument of every subcommand, as (argv, the input it names);
+# paths are relative to the directory of the fuzz test's valid inputs
+_DIRECTORY_INPUTS = [
+    (["eval", "gold.iob", "pred.iob", "--out", "dir-e.json"], "gold.iob"),
+    (["eval", "gold.iob", "pred.iob", "--out", "dir-e.json"], "pred.iob"),
+    *(
+        (["build-clsdata", "gold.iob", "--chunks", "chunks.txt",
+          "--stopwords", "stopwords.txt", "--out", "dir-p.jsonl"], name)
+        for name in ("gold.iob", "chunks.txt", "stopwords.txt")
+    ),
+    (["train-cls", "pairs.jsonl", "--buckets", "64", "--out", "dir-m.entcls"],
+     "pairs.jsonl"),
+    *(
+        (["refine", "report.json", "--model", "model.entcls",
+          "--ledger", "report.ledger.jsonl", "--out", "dir-r.json"], name)
+        for name in ("report.json", "model.entcls", "report.ledger.jsonl")
+    ),
+    (["refine", "report.json", "--external-decisions", "responses.jsonl",
+      "--out", "dir-r.json"], "responses.jsonl"),
+    *(
+        (["judge", "report.json", "judgements.tsv", "--decisions", "decisions.jsonl",
+          "--ledger", "report.ledger.jsonl", "--out", "dir-j.json"], name)
+        for name in ("report.json", "judgements.tsv", "decisions.jsonl",
+                     "report.ledger.jsonl")
+    ),
+    (["perturb", "gold.iob", "--out-prefix", "dir-syn"], "gold.iob"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    _DIRECTORY_INPUTS,
+    ids=[f"{argv[0]}-{name}" for argv, name in _DIRECTORY_INPUTS],
+)
+def test_directory_input_exits_1(fuzz_inputs, monkeypatch, capsys, argv, name):
+    monkeypatch.chdir(fuzz_inputs.base)
+    (fuzz_inputs.base / "a-directory").mkdir(exist_ok=True)
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    argv = ["a-directory" if arg == name else arg for arg in argv]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE, err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # numpy is loaded only by the commands that run the model
 
@@ -1157,14 +1217,9 @@ _NUMPY_COMMANDS = {
 @pytest.mark.parametrize("command", list(_NUMPY_COMMANDS))
 def test_numpy_is_loaded_only_where_the_model_runs(fuzz_inputs, command):
     argv, loads_numpy = _NUMPY_COMMANDS[command]
-    # the child runs in the inputs' directory, so a relative PYTHONPATH
-    # would miss the package; point it at the one this test imported
-    package_root = os.path.dirname(os.path.dirname(entmatch.__file__))
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     result = subprocess.run(
         [sys.executable, "-c", _NUMPY_CHILD, *argv],
-        cwd=fuzz_inputs.base, env=env, capture_output=True, text=True,
+        cwd=fuzz_inputs.base, env=_child_env(), capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
     lines = result.stdout.split()

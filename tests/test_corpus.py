@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,7 @@ from entmatch.corpus import (
     serialize_standoff,
     write_jsonl,
 )
-from oracle import mentions
+from oracle import mentions, random_paired_corpus
 
 
 def _spans(corpus, doc=0, source=Source.GOLD):
@@ -221,6 +222,14 @@ def test_standoff_round_trip_through_file_is_stable(liver_corpus):
     assert serialize_standoff(parse_standoff(text)) == text
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_docs=st.integers(0, 4))
+def test_standoff_round_trip_keeps_both_sides(seed, n_docs):
+    # each entity's "source" is the side it is listed on
+    corpus = random_paired_corpus(random.Random(seed), n_docs)
+    assert parse_standoff(serialize_standoff(corpus)) == corpus
+
+
 # ---------------------------------------------------------------------------
 # pairing
 
@@ -239,8 +248,25 @@ def test_pair_corpora_resources_mentions_by_side():
     gold = parse_iob("x B-A\n")
     pred = parse_iob("x B-B\n")
     merged = pair_corpora(gold, pred)
-    assert merged.documents[0].pred_entities[0].source is Source.PREDICTED
     assert merged.documents[0].pred_entities[0].label == "B"
+
+
+@pytest.mark.parametrize("pred_source", list(Source), ids=lambda s: s.value)
+def test_pair_corpora_reuses_the_parsed_mentions(pred_source):
+    # a mention's side is the list that holds it, so pairing moves mentions
+    # between lists and builds none
+    gold = parse_standoff(
+        '{"doc_id": "d", "tokens": ["a", "b", "c"], "entities": ['
+        '{"start": 0, "end": 1, "label": "X", "source": "gold"},'
+        '{"start": 1, "end": 3, "label": "Y", "source": "predicted"}]}'
+    )
+    pred = parse_iob("-DOCSTART- d\na B-X\nb O\nc B-Z\n", source=pred_source)
+    merged = pair_corpora(gold, pred).documents[0]
+    for side, parsed in ((merged.gold_entities, gold), (merged.pred_entities, pred)):
+        doc = parsed.documents[0]
+        assert sorted(map(id, side)) == sorted(
+            map(id, doc.gold_entities + doc.pred_entities)
+        )
 
 
 def test_pair_corpora_missing_document_listed():
@@ -274,10 +300,10 @@ def test_build_document_rejects_overlapping_same_source_spans():
 
 
 def test_document_sorts_each_side_and_rejects_overlap():
-    late, early = mentions("d", [(2, 3, "A"), (0, 1, "A")], Source.GOLD)
+    late, early = mentions("d", [(2, 3, "A"), (0, 1, "A")])
     doc = Document("d", ("a", "b", "c"), (0,), [late, early], [])
     assert doc.gold_entities == [early, late]
-    overlapping = mentions("d", [(0, 2, "A"), (1, 3, "B")], Source.PREDICTED)
+    overlapping = mentions("d", [(0, 2, "A"), (1, 3, "B")])
     with pytest.raises(ParseError, match="overlapping predicted spans"):
         Document("d", ("a", "b", "c"), (0,), [], overlapping)
 
@@ -310,13 +336,13 @@ def test_duplicate_doc_ids_rejected_in_corpus():
 )
 def test_entity_mention_rejects_bad_span_or_label(start, end, label):
     with pytest.raises(ValueError, match="invalid"):
-        EntityMention("d", start, end, label, "w", Source.GOLD)
+        EntityMention("d", start, end, label, "w")
 
 
 def test_entity_mention_is_unhashable():
     # mentions are mutable, so nothing may key a set or dict on one
     with pytest.raises(TypeError, match="unhashable"):
-        hash(EntityMention("d", 0, 1, "A", "w", Source.GOLD))
+        hash(EntityMention("d", 0, 1, "A", "w"))
 
 
 # JSON values as the writers meet them; a lone surrogate cannot be written as UTF-8

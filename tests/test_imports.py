@@ -1,5 +1,6 @@
 """Every module of the package uses every name it imports; none loads numpy;
-the per-record value classes are slotted and not frozen.
+the per-record value classes are slotted and not frozen; one function
+raises ``UncoveredRecordsError``.
 
 Each ``src/entmatch`` module except ``__init__`` (whose imports are its
 exports) is parsed with ``ast``. A name counts as used when it is read
@@ -14,6 +15,10 @@ A class built once per mention, record or input line is a
 ``@dataclass(slots=True)`` without ``frozen=True``: a frozen dataclass
 sets each field through ``object.__setattr__``, which makes every
 instance about three times as costly to build.
+
+Every verdict source (classifier, external decisions, expert scores) must
+cover every Type-5 record, and ``metrics.check_covered`` is the one check
+of that: no other function raises ``UncoveredRecordsError``.
 """
 
 from __future__ import annotations
@@ -131,3 +136,24 @@ def test_per_record_class_is_slotted_and_not_frozen(module, name):
     keywords = _dataclass_keywords(module, name)
     assert keywords.get("slots") is True, f"{module}.{name} must be slots=True"
     assert not keywords.get("frozen"), f"{module}.{name} must not be frozen=True"
+
+
+def test_uncovered_records_are_raised_in_one_function():
+    raisers = []
+    for path in ALL_MODULES:
+        tree = ast.parse(path.read_text("utf-8"))
+        functions = [
+            n
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            if "UncoveredRecordsError" not in ast.unparse(node.exc):
+                continue
+            # the innermost function that holds the raise, or the module
+            owners = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            owner = max(owners, key=lambda f: f.lineno).name if owners else "<module>"
+            raisers.append(f"{path.stem}.{owner}")
+    assert raisers == ["metrics.check_covered"]

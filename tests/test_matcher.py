@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from entmatch.corpus import EntityMention, Source
+from entmatch.corpus import EntityMention
 from entmatch.matcher import (
     _SIDES_BY_KIND,
     ERROR_TYPES,
@@ -51,38 +51,38 @@ def _as_tuples(records):
 
 def test_identical_sides_are_all_exact():
     spans = [(0, 1, "A"), (2, 4, "B")]
-    gold = mentions("d", spans, Source.GOLD)
-    pred = mentions("d", spans, Source.PREDICTED)
+    gold = mentions("d", spans)
+    pred = mentions("d", spans)
     records = classify_document(gold, pred)
     assert _kinds(records) == {EXACT: 2}
 
 
 def test_disjoint_sides_split_into_type1_and_type2():
-    gold = mentions("d", [(0, 2, "A")], Source.GOLD)
-    pred = mentions("d", [(5, 7, "A")], Source.PREDICTED)
+    gold = mentions("d", [(0, 2, "A")])
+    pred = mentions("d", [(5, 7, "A")])
     records = classify_document(gold, pred)
     assert _kinds(records) == {T1: 1, T2: 1}
 
 
 def test_same_span_different_label_is_type3():
-    gold = mentions("d", [(1, 3, "A")], Source.GOLD)
-    pred = mentions("d", [(1, 3, "B")], Source.PREDICTED)
+    gold = mentions("d", [(1, 3, "A")])
+    pred = mentions("d", [(1, 3, "B")])
     (record,) = classify_document(gold, pred)
     assert record.kind is T3
     assert record.pred.label == "B" and record.gold.label == "A"
 
 
 def test_overlap_different_label_is_type4():
-    gold = mentions("d", [(0, 3, "A")], Source.GOLD)
-    pred = mentions("d", [(2, 5, "B")], Source.PREDICTED)
+    gold = mentions("d", [(0, 3, "A")])
+    pred = mentions("d", [(2, 5, "B")])
     (record,) = classify_document(gold, pred)
     assert record.kind is T4
     assert record.overlap_tokens == 1
 
 
 def test_overlap_same_label_is_type5():
-    gold = mentions("d", [(0, 3, "A")], Source.GOLD)
-    pred = mentions("d", [(1, 4, "A")], Source.PREDICTED)
+    gold = mentions("d", [(0, 3, "A")])
+    pred = mentions("d", [(1, 4, "A")])
     (record,) = classify_document(gold, pred)
     assert record.kind is T5
     assert record.overlap_tokens == 2
@@ -97,8 +97,8 @@ def test_liver_fixture_yields_two_type5(liver_corpus):
 
 
 def test_three_fragments_anchor_to_one_gold():
-    gold = mentions("d", [(0, 9, "A")], Source.GOLD)
-    pred = mentions("d", [(0, 2, "A"), (3, 5, "A"), (7, 9, "A")], Source.PREDICTED)
+    gold = mentions("d", [(0, 9, "A")])
+    pred = mentions("d", [(0, 2, "A"), (3, 5, "A"), (7, 9, "A")])
     records = classify_document(gold, pred)
     assert _kinds(records) == {T5: 3}
     # the shared anchor leaves nothing to report as a complete miss
@@ -106,8 +106,8 @@ def test_three_fragments_anchor_to_one_gold():
 
 
 def test_anchor_prefers_larger_overlap():
-    gold = mentions("d", [(0, 1, "A"), (2, 6, "A")], Source.GOLD)
-    pred = mentions("d", [(1, 5, "A")], Source.PREDICTED)
+    gold = mentions("d", [(0, 1, "A"), (2, 6, "A")])
+    pred = mentions("d", [(1, 5, "A")])
     records = classify_document(gold, pred)
     t5 = [r for r in records if r.kind is T5]
     assert len(t5) == 1 and t5[0].gold.span == (2, 6)
@@ -117,8 +117,8 @@ def test_anchor_prefers_larger_overlap():
 
 def test_anchor_tie_breaks_leftmost_then_longest():
     # equal one-token overlap on both ends: leftmost gold wins
-    gold = mentions("d", [(0, 2, "A"), (4, 6, "A")], Source.GOLD)
-    pred = mentions("d", [(1, 5, "A")], Source.PREDICTED)
+    gold = mentions("d", [(0, 2, "A"), (4, 6, "A")])
+    pred = mentions("d", [(1, 5, "A")])
     (t5,) = [r for r in classify_document(gold, pred) if r.kind is T5]
     assert t5.gold.span == (0, 2)
 
@@ -126,8 +126,8 @@ def test_anchor_tie_breaks_leftmost_then_longest():
 def test_anchor_tie_on_start_prefers_longer_gold():
     # preds may not overlap each other, so probe two golds sharing a start
     # region through one wide pred: overlap 2 with both
-    gold = mentions("d", [(0, 2, "A"), (3, 8, "A")], Source.GOLD)
-    pred = mentions("d", [(1, 5, "A")], Source.PREDICTED)
+    gold = mentions("d", [(0, 2, "A"), (3, 8, "A")])
+    pred = mentions("d", [(1, 5, "A")])
     (t5,) = [r for r in classify_document(gold, pred) if r.kind is T5]
     # overlaps: gold1 = 1, gold2 = 2; larger overlap wins before any tie logic
     assert t5.gold.span == (3, 8)
@@ -136,8 +136,8 @@ def test_anchor_tie_on_start_prefers_longer_gold():
 def test_same_label_anchor_preferred_over_closer_other_label():
     # the pred overlaps a same-label gold by 1 and an other-label gold by 2;
     # stage order makes it a label-true boundary error, not a label error
-    gold = mentions("d", [(0, 2, "A"), (2, 6, "B")], Source.GOLD)
-    pred = mentions("d", [(1, 4, "A")], Source.PREDICTED)
+    gold = mentions("d", [(0, 2, "A"), (2, 6, "B")])
+    pred = mentions("d", [(1, 4, "A")])
     records = classify_document(gold, pred)
     kinds = _kinds(records)
     assert kinds[T5] == 1
@@ -145,21 +145,21 @@ def test_same_label_anchor_preferred_over_closer_other_label():
 
 
 def test_covered_other_label_gold_is_not_a_miss():
-    gold = mentions("d", [(0, 3, "A")], Source.GOLD)
-    pred = mentions("d", [(2, 5, "B")], Source.PREDICTED)
+    gold = mentions("d", [(0, 3, "A")])
+    pred = mentions("d", [(2, 5, "B")])
     records = classify_document(gold, pred)
     assert _kinds(records) == {T4: 1}
 
 
 def test_overlapping_input_spans_rejected():
-    gold = mentions("d", [(0, 2, "A"), (1, 3, "A")], Source.GOLD)
+    gold = mentions("d", [(0, 2, "A"), (1, 3, "A")])
     with pytest.raises(ValueError, match="overlap"):
         classify_document(gold, [])
 
 
 def test_token_overlap_is_whole_tokens():
     def m(span):
-        return mentions("d", [(*span, "A")], Source.GOLD)[0]
+        return mentions("d", [(*span, "A")])[0]
 
     assert token_overlap(m((0, 3)), m((2, 5))) == 1
     assert token_overlap(m((0, 3)), m((3, 5))) == 0
@@ -210,12 +210,8 @@ def test_gold_partition_is_exhaustive_and_disjoint(doc):
 
 
 def _flipped(doc):
-    gold = mentions(
-        "d", [(m.start, m.end, m.label) for m in doc.pred_entities], Source.GOLD
-    )
-    pred = mentions(
-        "d", [(m.start, m.end, m.label) for m in doc.gold_entities], Source.PREDICTED
-    )
+    gold = mentions("d", [(m.start, m.end, m.label) for m in doc.pred_entities])
+    pred = mentions("d", [(m.start, m.end, m.label) for m in doc.gold_entities])
     return gold, pred
 
 
@@ -261,8 +257,8 @@ def one_to_one_documents(draw):
             preds.append((s, s + draw(st.integers(1, 3)), draw(st.sampled_from("AB"))))
         base += width
     return (
-        mentions("d", golds, Source.GOLD),
-        mentions("d", preds, Source.PREDICTED),
+        mentions("d", golds),
+        mentions("d", preds),
     )
 
 
@@ -272,12 +268,8 @@ def test_swapping_sides_swaps_misses_when_overlaps_are_one_to_one(pair):
     # with multi-anchoring ruled out the miss counts mirror exactly
     gold, pred = pair
     direct = _kinds(classify_document(gold, pred))
-    regold = mentions(
-        "d", [(m.start, m.end, m.label) for m in pred], Source.GOLD
-    )
-    repred = mentions(
-        "d", [(m.start, m.end, m.label) for m in gold], Source.PREDICTED
-    )
+    regold = mentions("d", [(m.start, m.end, m.label) for m in pred])
+    repred = mentions("d", [(m.start, m.end, m.label) for m in gold])
     flipped = _kinds(classify_document(regold, repred))
     assert flipped[T1] == direct[T2]
     assert flipped[T2] == direct[T1]
@@ -353,15 +345,15 @@ def test_classify_corpus_checks_no_flatness_again(monkeypatch):
 
 
 def test_per_label_counts_use_gold_label_when_present():
-    gold = mentions("d", [(0, 3, "A")], Source.GOLD)
-    pred = mentions("d", [(2, 5, "B")], Source.PREDICTED)
+    gold = mentions("d", [(0, 3, "A")])
+    pred = mentions("d", [(2, 5, "B")])
     report = MatchReport.from_records(classify_document(gold, pred))
     assert report.per_label_counts["A"][T4] == 1
     assert T4 not in report.per_label_counts.get("B", {})
 
 
 def test_per_label_counts_use_pred_label_for_false_positives():
-    pred = mentions("d", [(0, 1, "B")], Source.PREDICTED)
+    pred = mentions("d", [(0, 1, "B")])
     report = MatchReport.from_records(classify_document([], pred))
     assert report.per_label_counts["B"][T1] == 1
 
@@ -399,15 +391,14 @@ def _ledger_records(draw):
         doc_id = draw(st.text())
         kind = draw(st.sampled_from(list(MismatchType)))
         sides = []
-        sources = (Source.PREDICTED, Source.GOLD)
-        for present, source in zip(_SIDES_BY_KIND[kind], sources):
+        for present in _SIDES_BY_KIND[kind]:
             if not present:
                 sides.append(None)
                 continue
             start = draw(st.integers(0, 10**6))
             end = start + draw(st.integers(1, 10**6))
             label, text = draw(_LABELS), draw(st.text())
-            sides.append(EntityMention(doc_id, start, end, label, text, source))
+            sides.append(EntityMention(doc_id, start, end, label, text))
         pred, gold = sides
         overlap = draw(st.integers(0, 10**6))
         # ids only need to be unique; index them so arbitrary text stays legal
@@ -449,8 +440,8 @@ def _reference_ledger(records) -> bytes:
             _TRICKY,
             _TRICKY,
             MismatchType.TYPE5_RIGHT_LABEL_OVERLAP,
-            EntityMention(_TRICKY, 0, 2, _TRICKY, _TRICKY, Source.PREDICTED),
-            EntityMention(_TRICKY, 1, 3, "\\ud800", "", Source.GOLD),
+            EntityMention(_TRICKY, 0, 2, _TRICKY, _TRICKY),
+            EntityMention(_TRICKY, 1, 3, "\\ud800", ""),
             1,
         )
     ]

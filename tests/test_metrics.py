@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entmatch.classifier import Decision, Verdict
-from entmatch.corpus import Source
+from entmatch.classifier import Decision, Verdict, load_external_decisions
+from entmatch.judgement import JudgementRecord, UserProfile, human_f
 from entmatch.matcher import MatchReport, classify_corpus, classify_document
 from entmatch.metrics import (
     Convention,
@@ -129,8 +130,8 @@ def test_semeval_type_equals_relaxed():
 
 
 def test_semeval_exact_boundary_credits_relabelled_spans():
-    gold = mentions("d", [(0, 2, "A"), (4, 5, "B")], Source.GOLD)
-    pred = mentions("d", [(0, 2, "B"), (4, 5, "B")], Source.PREDICTED)
+    gold = mentions("d", [(0, 2, "A"), (4, 5, "B")])
+    pred = mentions("d", [(0, 2, "B"), (4, 5, "B")])
     report = MatchReport.from_records(classify_document(gold, pred))
     modes = semeval_modes(report)
     assert modes[Convention.SEMEVAL_STRICT].tp_pred == 1
@@ -187,6 +188,38 @@ def test_missing_decision_raises_with_ids(liver_report):
     with pytest.raises(UncoveredRecordsError) as exc:
         learning_based_f(liver_report, decisions)
     assert exc.value.record_ids == (ids[1],)
+
+
+def test_every_verdict_source_reports_missing_records_alike(tmp_path):
+    # decisions, external responses and expert scores for the same Type-5
+    # records leave the same ids uncovered, named in one message
+    report = _report(3)
+    ids = _t5_ids(report)
+    covered = ids[::2]
+    missing = sorted(set(ids) - set(covered))
+    assert len(missing) >= 2
+    responses = tmp_path / "responses.jsonl"
+    labels = {r.record_id: r.pred.label for r in report.type5_records()}
+    responses.write_text(
+        "".join(
+            json.dumps({"id": rid, "label": labels[rid], "confidence": 0.5}) + "\n"
+            for rid in covered
+        )
+    )
+    callers = [
+        lambda: accepted_ids_from_decisions(
+            report, {rid: Decision(rid, Verdict.ACCEPT) for rid in covered}
+        ),
+        lambda: load_external_decisions(report, responses),
+        lambda: human_f(
+            report, [JudgementRecord(rid, 5) for rid in covered], UserProfile.STRICT
+        ),
+    ]
+    for call in callers:
+        with pytest.raises(UncoveredRecordsError) as exc:
+            call()
+        assert exc.value.record_ids == tuple(missing)
+        assert str(exc.value) == "no decision for Type-5 records: " + ", ".join(missing)
 
 
 def test_extra_decisions_are_tolerated(liver_report):
@@ -266,8 +299,8 @@ def test_suite_includes_learning_based_only_with_decisions(liver_report):
 
 
 def test_per_label_scores_are_label_local():
-    gold = mentions("d", [(0, 1, "A"), (3, 4, "B")], Source.GOLD)
-    pred = mentions("d", [(0, 1, "A"), (5, 6, "B")], Source.PREDICTED)
+    gold = mentions("d", [(0, 1, "A"), (3, 4, "B")])
+    pred = mentions("d", [(0, 1, "A"), (5, 6, "B")])
     report = MatchReport.from_records(classify_document(gold, pred))
     by_label = metric_suite(report).per_label[Convention.EXACT]
     assert by_label["A"].f1 == 1.0
