@@ -43,7 +43,6 @@ from .corpus import (
     AlignmentError,
     Corpus,
     ParseError,
-    Source,
     TagScheme,
     decode_utf8,
     has_lone_surrogate,
@@ -272,15 +271,13 @@ def _write_report(doc: dict, out_path: str, markdown: str | None) -> None:
 # corpus loading
 
 
-def _load_corpus(
-    path: str, fmt: str, scheme: str, source: Source
-) -> tuple[Corpus, str]:
+def _load_corpus(path: str, fmt: str, scheme: str) -> tuple[Corpus, str]:
     """The corpus in ``path`` and the sha256 of the bytes it was parsed from."""
     data = Path(path).read_bytes()
     if fmt == "standoff":
         corpus = parse_standoff(data)
     else:
-        corpus = parse_iob(data, TagScheme(scheme), source)
+        corpus = parse_iob(data, TagScheme(scheme))
     return corpus, hashlib.sha256(data).hexdigest()
 
 
@@ -312,23 +309,16 @@ def _load_report(path: str, ledger: str | None) -> tuple[dict, MatchReport]:
     raise ValueError(f"no such ledger file: {stored} (nor {beside})")
 
 
-def _ledger_default(out: str) -> str:
-    out_path = Path(out)
-    return str(out_path.with_name(out_path.stem + ".ledger.jsonl"))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    gold, gold_sha256 = _load_corpus(args.gold, args.format, args.scheme, Source.GOLD)
-    pred, pred_sha256 = _load_corpus(
-        args.pred, args.format, args.scheme, Source.PREDICTED
-    )
+    gold, gold_sha256 = _load_corpus(args.gold, args.format, args.scheme)
+    pred, pred_sha256 = _load_corpus(args.pred, args.format, args.scheme)
     corpus = pair_corpora(gold, pred)
     report = classify_corpus(corpus)
-    ledger_path = args.ledger or _ledger_default(args.out)
+    ledger_path = args.ledger or str(Path(args.out).with_suffix(".ledger.jsonl"))
     write_ledger(report, ledger_path)
     suite = metric_suite(report)
     doc = {
@@ -355,7 +345,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_build_clsdata(args: argparse.Namespace) -> int:
-    corpus, _ = _load_corpus(args.train, args.format, args.scheme, Source.GOLD)
+    corpus, _ = _load_corpus(args.train, args.format, args.scheme)
     stopwords = None
     if args.stopwords:
         stopwords = frozenset(
@@ -402,7 +392,9 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     else:
         decisions = load_external_decisions(report, args.external_decisions)
         source = f"external:{args.external_decisions}"
-    decisions_path = args.decisions_out or _decisions_default(args.out)
+    decisions_path = args.decisions_out or str(
+        Path(args.out).with_suffix(".decisions.jsonl")
+    )
     doc["decisions"] = _decisions_section(report, decisions, source, decisions_path)
     markdown = _render_report(doc, args.render)
     write_decisions(decisions, decisions_path)
@@ -416,11 +408,6 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _decisions_default(out: str) -> str:
-    out_path = Path(out)
-    return str(out_path.with_name(out_path.stem + ".decisions.jsonl"))
-
-
 def _cmd_judge(args: argparse.Namespace) -> int:
     doc, report = _load_report(args.report, args.ledger)
     judgements = load_judgements(args.judgements, report)
@@ -429,8 +416,9 @@ def _cmd_judge(args: argparse.Namespace) -> int:
         if args.profile
         else [UserProfile.STRICT, UserProfile.FORGIVING]
     )
-    distribution = score_distribution(judgements)
+    # coverage first: a file that covers no record exits 4, as a partial one does
     human = {p: human_f(report, judgements, p) for p in profiles}
+    distribution = score_distribution(judgements)
     exact = exact_f(report)
     relaxed = relaxed_f(report)
 
@@ -491,7 +479,7 @@ def _cmd_judge(args: argparse.Namespace) -> int:
 
 
 def _cmd_perturb(args: argparse.Namespace) -> int:
-    corpus, _ = _load_corpus(args.gold, args.format, args.scheme, Source.GOLD)
+    corpus, _ = _load_corpus(args.gold, args.format, args.scheme)
     plan = PerturbationPlan(
         seed=args.seed,
         extend_rate=args.extend_rate,

@@ -11,11 +11,12 @@ Positions are token indices throughout; a mention's surface text is
 its covered tokens joined by single spaces.
 
 Every entmatch input file is read through the helpers here:
-``decode_utf8`` turns its bytes into text, ``read_jsonl`` yields the JSON
-object on each non-blank line (both raise ``ParseError`` for bad input),
-and ``is_int`` tells a JSON integer from ``true``/``false``. Every output
-file is opened through ``open_output``, and every JSONL output but the
-record ledger is written by ``write_jsonl``.
+``decode_utf8`` turns its bytes into text, ``parse_json_line`` turns one
+line into a JSON object, ``read_jsonl`` yields that object for each
+non-blank line (each raises ``ParseError`` for bad input), and ``is_int``
+tells a JSON integer from ``true``/``false``. Every output file is opened
+through ``open_output``, and every JSONL output but the record ledger is
+written by ``write_jsonl``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import logging
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -61,23 +62,27 @@ def decode_utf8(content: bytes | str, what: str) -> str:
 
 
 def read_jsonl(content: bytes | str, what: str) -> Iterator[tuple[int, dict]]:
-    """Yield ``(line number, object)`` for each non-blank line of a JSONL input.
+    """Yield ``(line number, object)`` for each non-blank line of a JSONL input."""
+    for line_no, line in enumerate(decode_utf8(content, what).split("\n"), 1):
+        if line.strip():
+            yield line_no, parse_json_line(line, line_no, what)
+
+
+def parse_json_line(line: str, line_no: int, what: str) -> dict:
+    """The JSON object on one line of a ``what`` input.
 
     A line that is not JSON, not a JSON object, or holds a lone UTF-16
     surrogate raises ``ParseError``.
     """
-    for line_no, line in enumerate(decode_utf8(content, what).split("\n"), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line_no) from None
-        if not isinstance(obj, dict):
-            raise ParseError(f"{what} line must be a JSON object", line_no)
-        if _SURROGATE_ESCAPE_RE.search(line) and has_lone_surrogate(obj):
-            raise ParseError(f"{what} line holds a lone UTF-16 surrogate", line_no)
-        yield line_no, obj
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", line_no) from None
+    if not isinstance(obj, dict):
+        raise ParseError(f"{what} line must be a JSON object", line_no)
+    if _SURROGATE_ESCAPE_RE.search(line) and has_lone_surrogate(obj):
+        raise ParseError(f"{what} line holds a lone UTF-16 surrogate", line_no)
+    return obj
 
 
 # json.dumps(obj, ensure_ascii=False) builds a new encoder on each call
@@ -246,9 +251,6 @@ def build_document(
 # ---------------------------------------------------------------------------
 # IOB parsing
 
-# A raw token is (text, tag, line number); sentences group them.
-_RawSentence = list[tuple[str, str, int]]
-
 
 def parse_iob(
     content: bytes | str,
@@ -262,42 +264,44 @@ def parse_iob(
     Files without any ``-DOCSTART-`` marker become a single document
     ``doc0``. Orphan ``I-`` tags under IOB2 are repaired to ``B-`` with a
     logged warning; under IOB1 a fresh ``I-`` legitimately opens an entity.
+
+    Each line is read once and its tag decoded as it is read; a document
+    is built when the next ``-DOCSTART-`` or the end of the file closes
+    it. Entity state resets at sentence boundaries: ``B-`` always opens an
+    entity, and ``I-`` extends an open same-label entity or opens one.
     """
-    text = decode_utf8(content, "IOB file")
-    raw_docs: list[tuple[str, list[_RawSentence]]] = []
+    lines = enumerate(decode_utf8(content, "IOB file").split("\n"), 1)
+    documents: list[Document] = []
     seen_ids: set[str] = set()
-    sentences: list[_RawSentence] = []
-    sentence: _RawSentence = []
-    pending_id = "doc0"
-    explicit = False
-
-    def flush_sentence() -> None:
-        nonlocal sentence
-        if sentence:
-            sentences.append(sentence)
-            sentence = []
-
-    def flush_document(line_no: int | None) -> None:
-        nonlocal sentences, explicit
-        flush_sentence()
-        if sentences or explicit:
-            if pending_id in seen_ids:
-                raise ParseError(f"duplicate document id {pending_id!r}", line_no)
-            seen_ids.add(pending_id)
-            raw_docs.append((pending_id, sentences))
-        sentences = []
-        explicit = False
-
-    for line_no, line in enumerate(text.split("\n"), 1):
+    doc_id, explicit = "doc0", False
+    tokens: list[str] = []
+    starts: list[int] = []
+    spans: list[list] = []  # [start, end, label] of each mention
+    in_sentence = False
+    open_label: str | None = None  # the label an I- tag extends
+    # a -DOCSTART- after the last line closes the last document
+    for line_no, line in chain(lines, [(None, "-DOCSTART-")]):
         stripped = line.strip()
         if not stripped:
-            flush_sentence()
+            in_sentence, open_label = False, None
             continue
         if stripped.startswith("-DOCSTART-"):
-            flush_document(line_no)
+            if tokens or explicit:
+                if doc_id in seen_ids:
+                    raise ParseError(f"duplicate document id {doc_id!r}", line_no)
+                seen_ids.add(doc_id)
+                mentions = [
+                    EntityMention(doc_id, s, e, label, " ".join(tokens[s:e]))
+                    for s, e, label in spans
+                ]
+                gold, pred = (mentions, []) if source is Source.GOLD else ([], mentions)
+                documents.append(
+                    Document(doc_id, tuple(tokens), tuple(starts), gold, pred)
+                )
             rest = stripped[len("-DOCSTART-"):].strip()
-            pending_id = rest if rest else f"doc{len(raw_docs)}"
-            explicit = True
+            doc_id, explicit = rest or f"doc{len(documents)}", True
+            tokens, starts, spans = [], [], []
+            in_sentence, open_label = False, None
             continue
         if "\t" in line:
             parts = [p.strip() for p in line.split("\t")]
@@ -308,77 +312,30 @@ def parse_iob(
                 f"expected 2 columns (token and tag), got {len(parts)}", line_no
             )
         token_text, tag = parts
-        if tag != "O" and not _valid_iob_tag(tag):
-            raise ParseError(f"malformed tag {tag!r}", line_no)
-        sentence.append((token_text, tag, line_no))
-    flush_document(None)
-
-    documents = [
-        _document_from_iob(doc_id, doc_sentences, scheme, source)
-        for doc_id, doc_sentences in raw_docs
-    ]
-    return Corpus.from_documents(documents)
-
-
-def _valid_iob_tag(tag: str) -> bool:
-    m = _IOB_TAG_RE.fullmatch(tag)
-    return m is not None and m.group(2).strip() not in ("", "O")
-
-
-def _document_from_iob(
-    doc_id: str,
-    sentences: list[_RawSentence],
-    scheme: TagScheme,
-    source: Source,
-) -> Document:
-    texts = [[t for t, _, _ in s] for s in sentences]
-    spans = _decode_tag_spans(sentences, scheme)
-    if source is Source.GOLD:
-        return build_document(doc_id, texts, gold=spans)
-    return build_document(doc_id, texts, pred=spans)
-
-
-def _decode_tag_spans(
-    sentences: list[_RawSentence], scheme: TagScheme
-) -> list[tuple[int, int, str]]:
-    """Decode IOB tags into (start, end, label) spans over global token indices.
-
-    Entity state resets at sentence boundaries. ``B-`` always opens an
-    entity; ``I-`` extends an open same-label entity and otherwise opens
-    one (a repair under IOB2, the normal opening form under IOB1).
-    """
-    spans: list[tuple[int, int, str]] = []
-    index = 0
-    for sent in sentences:
-        open_start: int | None = None
-        open_label = ""
-
-        def close(upto: int) -> None:
-            nonlocal open_start
-            if open_start is not None:
-                spans.append((open_start, upto, open_label))
-                open_start = None
-
-        for token_text, tag, line_no in sent:
-            if tag == "O":
-                close(index)
+        if tag == "O":
+            open_label = None
+        else:
+            m = _IOB_TAG_RE.fullmatch(tag)
+            label = m.group(2).strip() if m else ""
+            if label in ("", "O"):
+                raise ParseError(f"malformed tag {tag!r}", line_no)
+            if m.group(1) == "I" and label == open_label:
+                spans[-1][1] += 1
             else:
-                marker, label = tag.split("-", 1)
-                label = label.strip()
-                if marker == "B" or label != open_label or open_start is None:
-                    if marker == "I" and scheme is TagScheme.IOB2:
-                        log.warning(
-                            "line %d: orphan tag I-%s repaired to B-%s",
-                            line_no,
-                            label,
-                            label,
-                        )
-                    close(index)
-                    open_start = index
-                    open_label = label
-            index += 1
-        close(index)
-    return spans
+                if m.group(1) == "I" and scheme is TagScheme.IOB2:
+                    log.warning(
+                        "line %d: orphan tag I-%s repaired to B-%s",
+                        line_no,
+                        label,
+                        label,
+                    )
+                spans.append([len(tokens), len(tokens) + 1, label])
+                open_label = label
+        if not in_sentence:
+            starts.append(len(tokens))
+            in_sentence = True
+        tokens.append(token_text)
+    return Corpus.from_documents(documents)
 
 
 def iob2_tags(document: Document, source: Source) -> list[str]:

@@ -9,7 +9,6 @@ relaxed, all-1 equals exact) hold bit for bit.
 
 from __future__ import annotations
 
-import json
 import statistics
 from dataclasses import dataclass
 from enum import Enum
@@ -17,7 +16,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .classifier import Decision, Verdict, check_type5_id
-from .corpus import ParseError, decode_utf8, is_int
+from .corpus import ParseError, decode_utf8, is_int, parse_json_line
 from .matcher import MatchReport
 from .metrics import PRF, Convention, check_covered, refined_f
 
@@ -78,10 +77,7 @@ def load_judgements(path: str | Path, report: MatchReport) -> list[JudgementReco
 
 def _parse_judgement_line(line: str, line_no: int) -> tuple[object, int]:
     if line.lstrip().startswith("{"):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line_no) from None
+        obj = parse_json_line(line, line_no, "judgement file")
         score = obj.get("score")
         if not is_int(score):
             raise ParseError(f"score must be an integer, got {score!r}", line_no)

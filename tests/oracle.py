@@ -2,16 +2,29 @@
 
 The oracle classifies a document by exhaustive scanning with explicit
 bookkeeping, sharing no code with the library's staged matcher, and the
-recount helpers recompute scores straight from entity lists. Tests
-compare library output against these.
+recount helpers recompute scores straight from entity lists.
+``oracle_parse_iob`` is the two-pass IOB reader that the library's
+one-pass ``parse_iob`` replaced, kept as it was. Tests compare library
+output against these.
 """
 
 from __future__ import annotations
 
+import logging
 import random
+import re
 from collections import Counter
 
-from entmatch.corpus import Corpus, Document, EntityMention, build_document
+from entmatch.corpus import (
+    Corpus,
+    Document,
+    EntityMention,
+    ParseError,
+    Source,
+    TagScheme,
+    build_document,
+    decode_utf8,
+)
 from entmatch.matcher import MismatchType
 
 EXACT = MismatchType.EXACT_MATCH
@@ -315,3 +328,145 @@ def mentions(doc_id: str, spans) -> list[EntityMention]:
         text = " ".join(f"w{i}" for i in range(start, end))
         out.append(EntityMention(doc_id, start, end, label, text))
     return out
+
+
+# ---------------------------------------------------------------------------
+# two-pass IOB reader
+
+log = logging.getLogger(__name__)
+
+_IOB_TAG_RE = re.compile(r"([BI])-(.*)\Z", re.DOTALL)
+
+# A raw token is (text, tag, line number); sentences group them.
+_RawSentence = list[tuple[str, str, int]]
+
+
+def oracle_parse_iob(
+    content: bytes | str,
+    scheme: TagScheme = TagScheme.IOB2,
+    source: Source = Source.GOLD,
+) -> Corpus:
+    """Parse a token-per-line IOB file into a corpus.
+
+    Lines hold ``token<TAB>tag`` (or single-space separated); blank lines
+    separate sentences; ``-DOCSTART- <doc_id>`` starts a new document.
+    Files without any ``-DOCSTART-`` marker become a single document
+    ``doc0``. Orphan ``I-`` tags under IOB2 are repaired to ``B-`` with a
+    logged warning; under IOB1 a fresh ``I-`` legitimately opens an entity.
+    """
+    text = decode_utf8(content, "IOB file")
+    raw_docs: list[tuple[str, list[_RawSentence]]] = []
+    seen_ids: set[str] = set()
+    sentences: list[_RawSentence] = []
+    sentence: _RawSentence = []
+    pending_id = "doc0"
+    explicit = False
+
+    def flush_sentence() -> None:
+        nonlocal sentence
+        if sentence:
+            sentences.append(sentence)
+            sentence = []
+
+    def flush_document(line_no: int | None) -> None:
+        nonlocal sentences, explicit
+        flush_sentence()
+        if sentences or explicit:
+            if pending_id in seen_ids:
+                raise ParseError(f"duplicate document id {pending_id!r}", line_no)
+            seen_ids.add(pending_id)
+            raw_docs.append((pending_id, sentences))
+        sentences = []
+        explicit = False
+
+    for line_no, line in enumerate(text.split("\n"), 1):
+        stripped = line.strip()
+        if not stripped:
+            flush_sentence()
+            continue
+        if stripped.startswith("-DOCSTART-"):
+            flush_document(line_no)
+            rest = stripped[len("-DOCSTART-"):].strip()
+            pending_id = rest if rest else f"doc{len(raw_docs)}"
+            explicit = True
+            continue
+        if "\t" in line:
+            parts = [p.strip() for p in line.split("\t")]
+        else:
+            parts = stripped.split()
+        if len(parts) != 2 or not all(parts):
+            raise ParseError(
+                f"expected 2 columns (token and tag), got {len(parts)}", line_no
+            )
+        token_text, tag = parts
+        if tag != "O" and not _valid_iob_tag(tag):
+            raise ParseError(f"malformed tag {tag!r}", line_no)
+        sentence.append((token_text, tag, line_no))
+    flush_document(None)
+
+    documents = [
+        _document_from_iob(doc_id, doc_sentences, scheme, source)
+        for doc_id, doc_sentences in raw_docs
+    ]
+    return Corpus.from_documents(documents)
+
+
+def _valid_iob_tag(tag: str) -> bool:
+    m = _IOB_TAG_RE.fullmatch(tag)
+    return m is not None and m.group(2).strip() not in ("", "O")
+
+
+def _document_from_iob(
+    doc_id: str,
+    sentences: list[_RawSentence],
+    scheme: TagScheme,
+    source: Source,
+) -> Document:
+    texts = [[t for t, _, _ in s] for s in sentences]
+    spans = _decode_tag_spans(sentences, scheme)
+    if source is Source.GOLD:
+        return build_document(doc_id, texts, gold=spans)
+    return build_document(doc_id, texts, pred=spans)
+
+
+def _decode_tag_spans(
+    sentences: list[_RawSentence], scheme: TagScheme
+) -> list[tuple[int, int, str]]:
+    """Decode IOB tags into (start, end, label) spans over global token indices.
+
+    Entity state resets at sentence boundaries. ``B-`` always opens an
+    entity; ``I-`` extends an open same-label entity and otherwise opens
+    one (a repair under IOB2, the normal opening form under IOB1).
+    """
+    spans: list[tuple[int, int, str]] = []
+    index = 0
+    for sent in sentences:
+        open_start: int | None = None
+        open_label = ""
+
+        def close(upto: int) -> None:
+            nonlocal open_start
+            if open_start is not None:
+                spans.append((open_start, upto, open_label))
+                open_start = None
+
+        for token_text, tag, line_no in sent:
+            if tag == "O":
+                close(index)
+            else:
+                marker, label = tag.split("-", 1)
+                label = label.strip()
+                if marker == "B" or label != open_label or open_start is None:
+                    if marker == "I" and scheme is TagScheme.IOB2:
+                        log.warning(
+                            "line %d: orphan tag I-%s repaired to B-%s",
+                            line_no,
+                            label,
+                            label,
+                        )
+                    close(index)
+                    open_start = index
+                    open_label = label
+            index += 1
+        close(index)
+    return spans

@@ -899,6 +899,33 @@ def test_judge_incomplete_judgements_exit_4(workspace):
     assert main(["judge", str(out), str(judgements)]) == EXIT_UNCOVERED
 
 
+def test_judge_empty_judgements_exit_4(workspace, capsys):
+    _, out = _eval(workspace)
+    judgements = workspace / "judgements.tsv"
+    judgements.write_text("")
+    judged = workspace / "judged.json"
+    capsys.readouterr()
+    code = main(["judge", str(out), str(judgements), "--out", str(judged)])
+    assert code == EXIT_UNCOVERED
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not judged.exists()
+
+
+def test_judge_lone_surrogate_in_json_line_exits_2(workspace, capsys):
+    _, out = _eval(workspace)
+    first, second = _report_t5_ids(out)
+    judgements = workspace / "judgements.tsv"
+    # json.dumps escapes the surrogate as \ud800, which JSON allows
+    line = {"record_id": second, "score": 4, "note": "\ud800"}
+    judgements.write_text(f"{first}\t4\n{json.dumps(line)}\n")
+    judged = workspace / "judged.json"
+    capsys.readouterr()
+    code = main(["judge", str(out), str(judgements), "--out", str(judged)])
+    err = _assert_parse_error(code, capsys)
+    assert "line 2: judgement file line holds a lone UTF-16 surrogate" in err
+    assert not judged.exists()
+
+
 # ---------------------------------------------------------------------------
 # perturbation round trip
 

@@ -5,7 +5,7 @@ import logging
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from entmatch.corpus import (
     AlignmentError,
@@ -23,7 +23,7 @@ from entmatch.corpus import (
     serialize_standoff,
     write_jsonl,
 )
-from oracle import mentions, random_paired_corpus
+from oracle import mentions, oracle_parse_iob, random_paired_corpus
 
 
 def _spans(corpus, doc=0, source=Source.GOLD):
@@ -139,6 +139,59 @@ def test_iob2_decode_then_encode_round_trips(tags):
         assert corpus.documents == []
         return
     assert iob2_tags(corpus.documents[0], Source.GOLD) == tags
+
+
+_IOB_TOKEN_LINES = st.builds(
+    "{}{}{}{}{}".format,
+    st.sampled_from(("", " ")),
+    st.sampled_from(("x", "y", "New", "-DOC")),
+    st.sampled_from(("\t", " ", "  ", " \t")),
+    st.sampled_from(("O", "B-A", "I-A", "B-B", "I-B")),
+    st.sampled_from(("", "\r", " ")),
+)
+# explicit ids "doc0" and "doc1" can repeat the default ids of id-less documents
+_IOB_LAYOUT_LINES = st.sampled_from(
+    (
+        "", " ", "\t", "\r", "x\tI-C D", "y\tB-C D\r", "-DOCSTART-", "-DOCSTART-O",
+        "-DOCSTART- d1", "-DOCSTART-\td1\r", " -DOCSTART- doc0", "-DOCSTART- doc1",
+    )
+)
+_IOB_MALFORMED_LINES = st.sampled_from(
+    (
+        "lonely", "a b c", "\tB-A", "x\t\tO", "x I-C D", "x B-A\tO", "x B-O",
+        "x I-O", "x B-", "x\tI- ", "x X-A", "x b-A", "x BA",
+    )
+)
+# token, layout and malformed lines in the ratio 7 : 2 : 1
+_IOB_LINES = st.sampled_from(
+    [_IOB_TOKEN_LINES] * 7 + [_IOB_LAYOUT_LINES] * 2 + [_IOB_MALFORMED_LINES]
+).flatmap(lambda lines: lines)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    lines=st.lists(_IOB_LINES, max_size=25),
+    scheme=st.sampled_from(TagScheme),
+    source=st.sampled_from(Source),
+)
+def test_iob_reader_matches_the_two_pass_oracle(caplog, lines, scheme, source):
+    content = "\n".join(lines)
+
+    def read(reader):
+        """The corpus and warnings of one reader, or its ParseError text."""
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            try:
+                corpus = reader(content, scheme, source)
+            except ParseError as exc:
+                return str(exc), None
+        return corpus, [r.getMessage() for r in caplog.records]
+
+    assert read(parse_iob) == read(oracle_parse_iob)
 
 
 # ---------------------------------------------------------------------------

@@ -192,11 +192,7 @@ def _functions_containing(text: str) -> set[str]:
 
 def test_input_files_are_decoded_and_split_in_one_place():
     assert _functions_containing('.decode("utf-8")') == {"corpus.decode_utf8"}
-    assert _functions_containing("json.JSONDecodeError") == {
-        "corpus.read_jsonl",
-        # judgement lines may be JSON or TSV, so they cannot use read_jsonl
-        "judgement._parse_judgement_line",
-    }
+    assert _functions_containing("json.JSONDecodeError") == {"corpus.parse_json_line"}
     assert _functions_containing("read_text(") == set()
 
 
