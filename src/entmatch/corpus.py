@@ -149,9 +149,6 @@ class EntityMention:
     def span(self) -> tuple[int, int]:
         return (self.start, self.end)
 
-    def length(self) -> int:
-        return self.end - self.start
-
 
 @dataclass
 class Document:
@@ -181,7 +178,6 @@ class Document:
 @dataclass
 class Corpus:
     documents: list[Document]
-    label_set: tuple[str, ...]
 
     @classmethod
     def from_documents(cls, documents: Iterable[Document]) -> "Corpus":
@@ -191,10 +187,7 @@ class Corpus:
             if doc.doc_id in seen:
                 raise ParseError(f"duplicate document id {doc.doc_id!r}")
             seen.add(doc.doc_id)
-        labels = sorted(
-            {m.label for d in docs for m in d.gold_entities + d.pred_entities}
-        )
-        return cls(docs, tuple(labels))
+        return cls(docs)
 
     def total_entities(self, source: Source) -> int:
         return sum(len(d.entities(source)) for d in self.documents)
@@ -239,7 +232,7 @@ def build_document(
 ) -> Document:
     """Construct a document from sentence token texts and (start, end, label) spans."""
     tokens = tuple(text for sentence in sentences for text in sentence)
-    if not all(tokens):
+    if any(not t or t.isspace() for t in tokens):
         raise ValueError("token text must be non-empty")
     offsets = accumulate((len(sentence) for sentence in sentences), initial=0)
     starts = tuple(start for start, sentence in zip(offsets, sentences) if sentence)
@@ -338,16 +331,6 @@ def parse_iob(
     return Corpus.from_documents(documents)
 
 
-def iob2_tags(document: Document, source: Source) -> list[str]:
-    """Encode one side of a document back into an IOB2 tag sequence."""
-    tags = ["O"] * len(document.tokens)
-    for m in document.entities(source):
-        tags[m.start] = f"B-{m.label}"
-        for i in range(m.start + 1, m.end):
-            tags[i] = f"I-{m.label}"
-    return tags
-
-
 # ---------------------------------------------------------------------------
 # standoff parsing and serialization
 
@@ -373,7 +356,7 @@ def _document_from_standoff(obj: dict, line_no: int) -> Document:
         raise ParseError("missing or invalid 'doc_id'", line_no)
     token_texts = obj.get("tokens")
     if not isinstance(token_texts, list) or any(
-        not isinstance(t, str) or not t for t in token_texts
+        not isinstance(t, str) or not t or t.isspace() for t in token_texts
     ):
         raise ParseError("'tokens' must be a list of non-empty strings", line_no)
     starts = obj.get("sentence_starts", [0] if token_texts else [])

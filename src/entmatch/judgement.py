@@ -15,7 +15,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .classifier import Decision, Verdict, check_type5_id
+from .classifier import LOW_CONFIDENCE, Decision, Verdict, check_type5_id
 from .corpus import ParseError, decode_utf8, is_int, parse_json_line
 from .matcher import MatchReport
 from .metrics import PRF, Convention, check_covered, refined_f
@@ -95,15 +95,6 @@ def _parse_judgement_line(line: str, line_no: int) -> tuple[object, int]:
     return record_id, score
 
 
-def judgement_coverage(records: Sequence[JudgementRecord], report: MatchReport) -> float:
-    """Fraction of the report's Type-5 records that carry a judgement."""
-    total = len(report.type5_records())
-    if total == 0:
-        return 0.0
-    judged = {r.record_id for r in records}
-    return len(judged) / total
-
-
 @dataclass(frozen=True)
 class ScoreDistribution:
     counts: dict[int, int]
@@ -113,15 +104,15 @@ class ScoreDistribution:
 
 
 def score_distribution(records: Sequence[JudgementRecord]) -> ScoreDistribution:
-    if not records:
-        raise ValueError("cannot compute a distribution without judgements")
+    """Counts and shares per score; without records every share is 0.0."""
     counts = {s: 0 for s in range(SCORE_MIN, SCORE_MAX + 1)}
     for r in records:
         counts[r.score] += 1
     total = len(records)
-    percentages = {s: round(100.0 * c / total, 2) for s, c in counts.items()}
+    den = total or 1  # 0/0 counts as 0, as in PRF
+    percentages = {s: round(100.0 * c / den, 2) for s, c in counts.items()}
     share_at_least = {
-        t: round(100.0 * sum(c for s, c in counts.items() if s >= t) / total, 2)
+        t: round(100.0 * sum(c for s, c in counts.items() if s >= t) / den, 2)
         for t in (2, 3)
     }
     return ScoreDistribution(counts, percentages, share_at_least, total)
@@ -173,9 +164,6 @@ _OUTCOME_NAMES = {  # expert outcome by score
     "partially_accepted": lambda s: s == PARTIAL_SCORE,
     "rejected": lambda s: s == 1,
 }
-
-LOW_CONFIDENCE = 0.5
-
 
 def agreement(
     decisions: Mapping[str, Decision],

@@ -197,16 +197,6 @@ def check_covered(report: MatchReport, covered: Container[str]) -> list[str]:
     return ids
 
 
-def accepted_ids_from_decisions(
-    report: MatchReport, decisions: Mapping[str, Decision]
-) -> frozenset[str]:
-    """Validate coverage and reduce decisions to the accepted id set."""
-    ids = check_covered(report, decisions)
-    return frozenset(
-        rid for rid in ids if decisions[rid].verdict is Verdict.ACCEPT
-    )
-
-
 def refined_f(
     report: MatchReport,
     accepted: frozenset[str] | set[str],
@@ -228,7 +218,11 @@ def learning_based_scores(
 
     Requires a decision per Type-5 record.
     """
-    accepted = accepted_ids_from_decisions(report, decisions)
+    accepted = frozenset(
+        rid
+        for rid in check_covered(report, decisions)
+        if decisions[rid].verdict is Verdict.ACCEPT
+    )
     credit = _credit(report, _EXACT_KINDS, accepted)
     return _score(report, Convention.LEARNING_BASED, credit)
 

@@ -122,7 +122,10 @@ def perturb(gold: Corpus, plan: PerturbationPlan) -> tuple[Corpus, ExpectedLedge
     start of ``golds[i + 1]``. So an extension of ``golds[i]`` can collide
     only with ``golds[i - 1]``, ``golds[i + 1]`` or the last span built.
     """
-    labels = list(gold.label_set)
+    # relabels and insertions draw from the labels of both sides of ``gold``
+    labels = sorted(
+        {m.label for d in gold.documents for m in d.gold_entities + d.pred_entities}
+    )
     pred_docs: list[Document] = []
     entries: list[ExpectedEntry] = []
     for doc in gold.documents:
@@ -164,7 +167,7 @@ def perturb(gold: Corpus, plan: PerturbationPlan) -> tuple[Corpus, ExpectedLedge
                     continue
             elif operation == "shrink":
                 k = plan.shrink_tokens
-                if g.length() > k:
+                if g.end - g.start > k:
                     if rng.random() < 0.5:
                         span = (g.start + k, g.end)
                     else:
@@ -176,7 +179,7 @@ def perturb(gold: Corpus, plan: PerturbationPlan) -> tuple[Corpus, ExpectedLedge
                     )
                     continue
             elif operation == "split":
-                if g.length() >= 2:
+                if g.end - g.start >= 2:
                     middle = rng.randint(g.start + 1, g.end - 1)
                     for span in ((g.start, middle), (middle, g.end)):
                         built.append((span[0], span[1], g.label))

@@ -4,8 +4,9 @@ The oracle classifies a document by exhaustive scanning with explicit
 bookkeeping, sharing no code with the library's staged matcher, and the
 recount helpers recompute scores straight from entity lists.
 ``oracle_parse_iob`` is the two-pass IOB reader that the library's
-one-pass ``parse_iob`` replaced, kept as it was. Tests compare library
-output against these.
+one-pass ``parse_iob`` replaced, kept as it was, and ``iob2_tags`` encodes
+a parsed side back into IOB2 tags. Tests compare library output against
+these.
 """
 
 from __future__ import annotations
@@ -187,7 +188,9 @@ def oracle_perturb(gold: Corpus, plan):
                 return name
         return None
 
-    labels = list(gold.label_set)
+    labels = sorted(
+        {m.label for d in gold.documents for m in d.gold_entities + d.pred_entities}
+    )
     pred_docs = []
     entries = []
     for doc in gold.documents:
@@ -470,3 +473,13 @@ def _decode_tag_spans(
             index += 1
         close(index)
     return spans
+
+
+def iob2_tags(document: Document, source: Source) -> list[str]:
+    """Encode one side of a document back into an IOB2 tag sequence."""
+    tags = ["O"] * len(document.tokens)
+    for m in document.entities(source):
+        tags[m.start] = f"B-{m.label}"
+        for i in range(m.start + 1, m.end):
+            tags[i] = f"I-{m.label}"
+    return tags

@@ -494,6 +494,36 @@ def test_train_cls_on_whitespace_only_text_exits_2(workspace, capsys):
     assert "line 2: training pair with empty text" in err
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_train_cls_with_non_finite_learning_rate_exits_1(workspace, capsys, rate):
+    pairs, model = workspace / "pairs.jsonl", workspace / "m.entcls"
+    assert main(["build-clsdata", str(workspace / "gold.iob"), "--out", str(pairs)]) == EXIT_OK
+    capsys.readouterr()
+    code = main(["train-cls", str(pairs), "--learning-rate", rate, "--out", str(model)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert "learning rate must be finite" in err
+    assert not model.exists()
+
+
+def test_build_clsdata_on_whitespace_only_standoff_token_exits_2(workspace, capsys):
+    # a gold entity over the token would become a training pair of blank text
+    line = {
+        "doc_id": "d",
+        "tokens": ["fever", " ", "cough"],
+        "entities": [{"start": 0, "end": 2, "label": "problem", "source": "gold"}],
+    }
+    standoff, pairs = workspace / "train.jsonl", workspace / "pairs.jsonl"
+    standoff.write_text(json.dumps(line) + "\n")
+    code = main(
+        ["build-clsdata", str(standoff), "--format", "standoff", "--out", str(pairs)]
+    )
+    err = _assert_parse_error(code, capsys)
+    assert "line 1: 'tokens' must be a list of non-empty strings" in err
+    assert not pairs.exists()
+
+
 @pytest.mark.parametrize("flag", ["--stopwords", "--chunks"])
 def test_build_clsdata_non_utf8_word_file_exits_2(workspace, capsys, flag):
     words = workspace / "words.txt"
@@ -693,8 +723,17 @@ _MODEL_HEADER = {
         b"{not json",
         b"[1, 2]",
         json.dumps({**_MODEL_HEADER, "buckets": "four"}).encode(),
+        json.dumps({**_MODEL_HEADER, "learning_rate": float("nan")}).encode(),
+        json.dumps({**_MODEL_HEADER, "learning_rate": float("inf")}).encode(),
     ],
-    ids=["missing-key", "non-json", "non-object", "non-integer-buckets"],
+    ids=[
+        "missing-key",
+        "non-json",
+        "non-object",
+        "non-integer-buckets",
+        "nan-learning-rate",
+        "infinite-learning-rate",
+    ],
 )
 def test_refine_with_defective_model_header_exits_2(workspace, capsys, header):
     _, out = _eval(workspace)
@@ -909,6 +948,22 @@ def test_judge_empty_judgements_exit_4(workspace, capsys):
     assert code == EXIT_UNCOVERED
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
     assert not judged.exists()
+
+
+def test_judge_empty_judgements_without_type5_records_exits_0(workspace, capsys):
+    # an empty file judges every Type-5 record when there is none
+    (workspace / "pred.iob").write_text(GOLD_IOB)
+    _, out = _eval(workspace)
+    assert _report_t5_ids(out) == []
+    judgements = workspace / "judgements.tsv"
+    judgements.write_text("")
+    judged = workspace / "judged.json"
+    code = main(["judge", str(out), str(judgements), "--out", str(judged)])
+    assert code == EXIT_OK, capsys.readouterr().err
+    section = json.loads(judged.read_text())["judgement"]
+    assert section["judged"] == section["type5_total"] == 0
+    assert section["coverage_pct"] == "0.00"
+    assert section["score_distribution"]["percentages"] == {str(s): 0.0 for s in range(1, 6)}
 
 
 def test_judge_lone_surrogate_in_json_line_exits_2(workspace, capsys):

@@ -16,14 +16,13 @@ from entmatch.corpus import (
     Source,
     TagScheme,
     build_document,
-    iob2_tags,
     pair_corpora,
     parse_iob,
     parse_standoff,
     serialize_standoff,
     write_jsonl,
 )
-from oracle import mentions, oracle_parse_iob, random_paired_corpus
+from oracle import iob2_tags, mentions, oracle_parse_iob, random_paired_corpus
 
 
 def _spans(corpus, doc=0, source=Source.GOLD):
@@ -83,7 +82,7 @@ def test_iob_malformed_tag_rejected():
 
 def test_iob_empty_content_gives_empty_corpus():
     corpus = parse_iob("")
-    assert corpus.documents == [] and corpus.label_set == ()
+    assert corpus.documents == []
 
 
 def test_iob_non_utf8_rejected():
@@ -293,7 +292,6 @@ def test_pair_corpora_merges_sides():
     merged = pair_corpora(gold, pred)
     assert _spans(merged) == [(0, 1, "A")]
     assert _spans(merged, source=Source.PREDICTED) == [(1, 2, "A")]
-    assert merged.label_set == ("A",)
 
 
 def test_pair_corpora_resources_mentions_by_side():
@@ -368,8 +366,19 @@ def test_build_document_skips_empty_sentences_in_sentence_starts():
 
 
 def test_build_document_rejects_empty_token_text():
-    with pytest.raises(ValueError, match="non-empty"):
-        build_document("d", [["a", ""]])
+    # a whitespace-only token is empty too, as an IOB reader would read it
+    for token in ("", " ", "\t\n", "\u3000"):
+        with pytest.raises(ValueError, match="non-empty"):
+            build_document("d", [["a", token]])
+
+
+@pytest.mark.parametrize("token", [" ", "\t\n", "\u3000"], ids=["space", "tab", "ideographic"])
+def test_standoff_whitespace_only_token_rejected(token):
+    # an IOB token cannot be whitespace only, and a mention over such a
+    # standoff token would have no text to classify
+    line = {"doc_id": "d", "tokens": ["a", token], "entities": []}
+    with pytest.raises(ParseError, match="line 1: 'tokens' must be a list of non-empty"):
+        parse_standoff(json.dumps(line) + "\n")
 
 
 def test_mention_text_is_space_joined_surface():

@@ -1,11 +1,13 @@
 """Every module of the package uses every name it imports; none loads numpy;
-the per-record value classes are slotted and not frozen; one function
-raises ``UncoveredRecordsError``.
+the package root loads no submodule; the per-record value classes are
+slotted and not frozen; one function raises ``UncoveredRecordsError``.
 
-Each ``src/entmatch`` module except ``__init__`` (whose imports are its
-exports) is parsed with ``ast``. A name counts as used when it is read
-anywhere in the module, annotations included, also inside a string
-annotation such as ``-> "Corpus"``.
+Each ``src/entmatch`` module is parsed with ``ast``. A name counts as used
+when it is read anywhere in the module, annotations included, also inside
+a string annotation such as ``-> "Corpus"``.
+
+``import entmatch`` binds ``__version__`` only: every other name is
+imported from its submodule, so the root re-exports nothing.
 
 numpy is imported only inside the functions that run the model, so a
 module-level ``import numpy`` anywhere in the package, ``__init__``
@@ -24,6 +26,8 @@ of that: no other function raises ``UncoveredRecordsError``.
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 from typing import Iterator
 
@@ -32,7 +36,6 @@ import pytest
 import entmatch
 
 ALL_MODULES = sorted(Path(entmatch.__file__).parent.glob("*.py"))
-MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -60,7 +63,7 @@ def _used(tree: ast.Module) -> set[str]:
     return used
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.stem)
 def test_module_uses_every_name_it_imports(path):
     tree = ast.parse(path.read_text("utf-8"))
     used = _used(tree)
@@ -103,6 +106,28 @@ def test_module_does_not_import_numpy_at_import_time(path):
         if module.split(".")[0] == "numpy"
     ]
     assert not lines, f"{path.name}: module-level numpy import on lines {lines}"
+
+
+_ROOT_CHILD = (
+    "import sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "import entmatch\n"
+    "print(sorted(m for m in sys.modules if m.startswith('entmatch.')))\n"
+    "print(sorted(n for n in vars(entmatch) if not n.startswith('_')))\n"
+)
+
+
+def test_package_root_loads_no_submodule():
+    # a child interpreter: this one has imported every submodule already
+    package_parent = str(Path(entmatch.__file__).parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", _ROOT_CHILD, package_parent],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    submodules, public = result.stdout.splitlines()
+    assert submodules == "[]", f"import entmatch loaded {submodules}"
+    assert public == "[]", f"import entmatch binds {public}"
 
 
 PER_RECORD_CLASSES = [

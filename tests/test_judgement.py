@@ -11,7 +11,6 @@ from entmatch.judgement import (
     UserProfile,
     agreement,
     human_f,
-    judgement_coverage,
     load_judgements,
     metric_error,
     score_distribution,
@@ -107,12 +106,6 @@ def test_judgement_record_validates_score():
         JudgementRecord("d:0", 7)
 
 
-def test_judgement_coverage(liver_report):
-    ids = _t5_ids(liver_report)
-    assert judgement_coverage([JudgementRecord(ids[0], 3)], liver_report) == 0.5
-    assert judgement_coverage(_judged(liver_report, 3), liver_report) == 1.0
-
-
 # ---------------------------------------------------------------------------
 # score distribution
 
@@ -134,9 +127,14 @@ def test_score_distribution_rounds_to_two_decimals():
     assert dist.percentages[5] == 33.33
 
 
-def test_score_distribution_requires_records():
-    with pytest.raises(ValueError):
-        score_distribution([])
+def test_score_distribution_of_no_records_is_zero():
+    # 0/0 counts as 0, as in PRF: a report without Type-5 records is fully
+    # covered by an empty judgement file
+    dist = score_distribution([])
+    assert dist.total == 0
+    assert dist.counts == {1: 0, 2: 0, 3: 0, 4: 0, 5: 0}
+    assert dist.percentages == {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0, 5: 0.0}
+    assert dist.share_at_least == {2: 0.0, 3: 0.0}
 
 
 # ---------------------------------------------------------------------------

@@ -323,9 +323,7 @@ def test_records_sorted_by_pred_then_gold_span():
 
 def test_report_documents_sorted_by_id():
     corpus = random_paired_corpus(random.Random(3), 4)
-    shuffled = type(corpus)(
-        documents=list(reversed(corpus.documents)), label_set=corpus.label_set
-    )
+    shuffled = type(corpus)(documents=list(reversed(corpus.documents)))
     a = classify_corpus(corpus)
     b = classify_corpus(shuffled)
     assert [r.record_id for r in a.records] == [r.record_id for r in b.records]

@@ -13,7 +13,6 @@ from entmatch.metrics import (
     Convention,
     PRF,
     UncoveredRecordsError,
-    accepted_ids_from_decisions,
     exact_f,
     learning_based_f,
     learning_based_scores,
@@ -207,7 +206,7 @@ def test_every_verdict_source_reports_missing_records_alike(tmp_path):
         )
     )
     callers = [
-        lambda: accepted_ids_from_decisions(
+        lambda: learning_based_scores(
             report, {rid: Decision(rid, Verdict.ACCEPT) for rid in covered}
         ),
         lambda: load_external_decisions(report, responses),
@@ -234,7 +233,8 @@ def test_accepted_ids_keeps_only_accepts(liver_report):
         ids[0]: Decision(ids[0], Verdict.ACCEPT),
         ids[1]: Decision(ids[1], Verdict.REJECT),
     }
-    assert accepted_ids_from_decisions(liver_report, decisions) == {ids[0]}
+    learning = learning_based_f(liver_report, decisions)
+    assert _nums(learning) == _nums(refined_f(liver_report, {ids[0]}))
 
 
 def test_accepted_ids_of_other_kinds_earn_no_credit():

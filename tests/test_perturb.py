@@ -139,7 +139,7 @@ def test_shrink_trims_and_reports_type5():
     pred, ledger = perturb(gold, PerturbationPlan(seed=7, shrink_rate=1.0, shrink_tokens=2))
     assert _expected_counts(ledger) == {T5: 1}
     (mention,) = pred.documents[0].pred_entities
-    assert mention.length() == 3
+    assert mention.end - mention.start == 3
     assert _matcher_counts(gold, pred) == {T5: 1}
 
 
