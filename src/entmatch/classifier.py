@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, BinaryIO, Container, Mapping, Sequence
 
 from .corpus import (
     ParseError,
+    decode_json,
     decode_utf8,
     has_lone_surrogate,
     is_int,
@@ -183,8 +184,8 @@ class ClassifierModel:
             "learning_rate": self.config.learning_rate,
             "dtype": "<f8",
         }
-        header_line = json.dumps(header, sort_keys=True).encode("utf-8")
-        fh.write(_MAGIC + b"\n" + header_line + b"\n")
+        header_line = json.dumps(header, sort_keys=True, allow_nan=False)
+        fh.write(_MAGIC + b"\n" + header_line.encode("utf-8") + b"\n")
         # the arrays' own buffers, no copy unless the layout is not <f8 C-order
         fh.write(np.ascontiguousarray(self.weights, dtype="<f8"))
         fh.write(np.ascontiguousarray(self.bias, dtype="<f8"))
@@ -211,7 +212,7 @@ class ClassifierModel:
             raise ParseError("model header has no terminating newline")
         header_text = decode_utf8(blob[len(prefix):newline], "model header")
         try:
-            header = json.loads(header_text)
+            header = decode_json(header_text)
         except ValueError as exc:
             raise ParseError(f"model header is not JSON: {exc}") from None
         if not isinstance(header, dict):

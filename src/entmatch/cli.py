@@ -191,7 +191,9 @@ def _write_text(text: str, path: str | Path) -> None:
 
 
 def _write_json(doc: dict, path: str | Path) -> None:
-    _write_text(json.dumps(doc, indent=2, ensure_ascii=False) + "\n", path)
+    """Write ``doc``; a float that is not finite raises ``ValueError`` first."""
+    text = json.dumps(doc, indent=2, ensure_ascii=False, allow_nan=False)
+    _write_text(text + "\n", path)
 
 
 def _render_markdown(doc: dict) -> str:
@@ -285,7 +287,9 @@ def _load_report(path: str, ledger: str | None) -> tuple[dict, MatchReport]:
     """A run report and the match report of its ledger (or of ``ledger``).
 
     A ledger path stored in the report is tried as it is, then relative to
-    the report's directory, since ``eval`` stores it as it was given.
+    the report's directory, since ``eval`` stores it as it was given. A
+    report that holds a number that is not finite (``NaN``, ``1e999``)
+    raises ``ParseError``.
     """
     text = decode_utf8(Path(path).read_bytes(), "report")
     try:
@@ -294,7 +298,11 @@ def _load_report(path: str, ledger: str | None) -> tuple[dict, MatchReport]:
         raise ParseError(f"report is not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("report must be a JSON object")
-    if has_lone_surrogate(doc):
+    try:
+        surrogate = has_lone_surrogate(doc, allow_nan=False)
+    except ValueError:
+        raise ParseError("report holds a number that is not finite") from None
+    if surrogate:
         raise ParseError("report holds a lone UTF-16 surrogate")
     if ledger:
         return doc, read_ledger(ledger)

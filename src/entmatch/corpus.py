@@ -11,12 +11,14 @@ Positions are token indices throughout; a mention's surface text is
 its covered tokens joined by single spaces.
 
 Every entmatch input file is read through the helpers here:
-``decode_utf8`` turns its bytes into text, ``parse_json_line`` turns one
-line into a JSON object, ``read_jsonl`` yields that object for each
-non-blank line (each raises ``ParseError`` for bad input), and ``is_int``
-tells a JSON integer from ``true``/``false``. Every output file is opened
-through ``open_output``, and every JSONL output but the record ledger is
-written by ``write_jsonl``.
+``decode_utf8`` turns its bytes into text, ``decode_json`` turns JSON text
+into a value and ``parse_json_line`` one line into a JSON object,
+``read_jsonl`` yields that object for each non-blank line (each raises
+``ParseError`` for bad input), and ``is_int`` tells a JSON integer from
+``true``/``false``. No reader accepts ``NaN``, ``Infinity`` or
+``-Infinity``, which RFC 8259 does not allow, and no writer emits them.
+Every output file is opened through ``open_output``, and every JSONL output
+but the record ledger is written by ``write_jsonl``.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, chain
+from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, NoReturn, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -51,6 +54,18 @@ class AlignmentError(ValueError):
     """Gold and prediction corpora do not describe the same documents."""
 
 
+class NonFiniteNumberError(ValueError):
+    """JSON input holds ``NaN``, ``Infinity`` or ``-Infinity``."""
+
+
+def _reject_constant(name: str) -> NoReturn:
+    raise NonFiniteNumberError(f"non-finite number {name}")
+
+
+# json.loads(text, parse_constant=...) would build a new decoder on each call
+_JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def decode_utf8(content: bytes | str, what: str) -> str:
     """The text of an input file; bytes that are not UTF-8 raise ``ParseError``."""
     if isinstance(content, str):
@@ -68,16 +83,26 @@ def read_jsonl(content: bytes | str, what: str) -> Iterator[tuple[int, dict]]:
             yield line_no, parse_json_line(line, line_no, what)
 
 
+def decode_json(text: str) -> object:
+    """``json.loads(text)``, but ``NaN``, ``Infinity`` and ``-Infinity`` raise
+    ``NonFiniteNumberError``."""
+    if text.startswith("\ufeff"):
+        return json.loads(text)  # raises the error for a byte order mark
+    return _JSON_DECODER.decode(text)
+
+
 def parse_json_line(line: str, line_no: int, what: str) -> dict:
     """The JSON object on one line of a ``what`` input.
 
-    A line that is not JSON, not a JSON object, or holds a lone UTF-16
-    surrogate raises ``ParseError``.
+    A line that is not JSON, holds a non-finite number literal, is not a
+    JSON object, or holds a lone UTF-16 surrogate raises ``ParseError``.
     """
     try:
-        obj = json.loads(line)
+        obj = decode_json(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line_no) from None
+    except NonFiniteNumberError as exc:
+        raise ParseError(f"invalid JSON: {exc}", line_no) from None
     if not isinstance(obj, dict):
         raise ParseError(f"{what} line must be a JSON object", line_no)
     if _SURROGATE_ESCAPE_RE.search(line) and has_lone_surrogate(obj):
@@ -86,22 +111,27 @@ def parse_json_line(line: str, line_no: int, what: str) -> dict:
 
 
 # json.dumps(obj, ensure_ascii=False) builds a new encoder on each call
-_JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False)
+_JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
 
 
 def write_jsonl(objects: Iterable[dict], path: str | Path) -> None:
-    """Write one ``json.dumps(obj, ensure_ascii=False)`` line per object."""
+    """Write one ``json.dumps(obj, ensure_ascii=False)`` line per object.
+
+    A float that is not finite raises ``ValueError``.
+    """
     with open_output(path) as fh:
         fh.writelines(_JSONL_ENCODER.encode(obj) + "\n" for obj in objects)
 
 
-def has_lone_surrogate(value: object) -> bool:
+def has_lone_surrogate(value: object, allow_nan: bool = True) -> bool:
     """Whether a decoded JSON value holds a lone UTF-16 surrogate.
 
     JSON may escape one (``"\\ud800"``), but no UTF-8 output can encode it.
+    With ``allow_nan=False`` a float that is not finite raises ``ValueError``.
     """
     # ensure_ascii=False leaves a lone surrogate in the text as it is
-    return _SURROGATE_RE.search(json.dumps(value, ensure_ascii=False)) is not None
+    text = json.dumps(value, ensure_ascii=False, allow_nan=allow_nan)
+    return _SURROGATE_RE.search(text) is not None
 
 
 def open_output(path: str | Path, binary: bool = False) -> IO:
@@ -113,7 +143,7 @@ def open_output(path: str | Path, binary: bool = False) -> IO:
 
 def is_int(value: object) -> bool:
     """Whether a JSON value is an integer; ``true`` and ``false`` are not."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    return type(value) is int
 
 
 class Source(Enum):
@@ -210,11 +240,14 @@ def mention_from_tokens(
     return EntityMention(doc_id, start, end, label.strip(), text)
 
 
+_START_END = attrgetter("start", "end")
+
+
 def check_flat(
     doc_id: str, mentions: Iterable[EntityMention], source: Source
 ) -> list[EntityMention]:
     """One side of a document sorted by start; an overlap raises ``ParseError``."""
-    ordered = sorted(mentions, key=lambda m: (m.start, m.end))
+    ordered = sorted(mentions, key=_START_END)
     for a, b in zip(ordered, ordered[1:]):
         if b.start < a.end:
             raise ParseError(
@@ -355,14 +388,19 @@ def _document_from_standoff(obj: dict, line_no: int) -> Document:
     if not isinstance(doc_id, str) or not doc_id:
         raise ParseError("missing or invalid 'doc_id'", line_no)
     token_texts = obj.get("tokens")
-    if not isinstance(token_texts, list) or any(
-        not isinstance(t, str) or not t or t.isspace() for t in token_texts
+    # C-level passes over every token: types first, so that the other two
+    # only ever see strings
+    if (
+        not isinstance(token_texts, list)
+        or not set(map(type, token_texts)) <= {str}
+        or "" in token_texts
+        or any(map(str.isspace, token_texts))
     ):
         raise ParseError("'tokens' must be a list of non-empty strings", line_no)
     starts = obj.get("sentence_starts", [0] if token_texts else [])
     if (
         not isinstance(starts, list)
-        or not all(is_int(s) for s in starts)
+        or not all(map(is_int, starts))
         or starts != sorted(set(starts))
         or (token_texts and (not starts or starts[0] != 0))
         or any(s >= len(token_texts) for s in starts)
@@ -394,15 +432,18 @@ def _document_from_standoff(obj: dict, line_no: int) -> Document:
                 f"[0, {len(tokens)})",
                 line_no,
             )
-        if not isinstance(label, str) or not label.strip() or label.strip() == "O":
+        name = label.strip() if isinstance(label, str) else ""
+        if name in ("", "O"):
             raise ParseError(f"invalid entity label {label!r}", line_no)
-        try:
-            source = Source(source_value)
-        except ValueError:
-            raise ParseError(f"invalid entity source {source_value!r}", line_no) from None
-        target = gold if source is Source.GOLD else pred
+        # string comparisons: a list or dict here equals neither
+        if source_value == "gold":
+            target = gold
+        elif source_value == "predicted":
+            target = pred
+        else:
+            raise ParseError(f"invalid entity source {source_value!r}", line_no)
         text = " ".join(tokens[start:end])
-        target.append(EntityMention(doc_id, start, end, label.strip(), text))
+        target.append(EntityMention(doc_id, start, end, name, text))
     try:
         return Document(doc_id, tokens, tuple(starts), gold, pred)
     except ParseError as exc:

@@ -47,13 +47,25 @@ class MismatchType(Enum):
     TYPE4_WRONG_LABEL_OVERLAP = "type4"
     TYPE5_RIGHT_LABEL_OVERLAP = "type5"
 
+    # Enum hashes a member's name in Python code; members are singletons,
+    # so the identity hash is equivalent and runs in C
+    __hash__ = object.__hash__
+
 
 ERROR_TYPES: tuple[MismatchType, ...] = tuple(
     k for k in MismatchType if k is not MismatchType.EXACT_MATCH
 )
+_TYPE5 = MismatchType.TYPE5_RIGHT_LABEL_OVERLAP
 
 # (doc_id, start, end): unique per gold mention because gold spans are flat.
 GoldKey = tuple[str, int, int]
+
+_KIND_BITS = {kind: 1 << i for i, kind in enumerate(MismatchType)}
+
+
+def kinds_mask(kinds: Iterable[MismatchType]) -> int:
+    """The bitmask of a set of kinds, as ``MatchReport.gold_masks`` holds them."""
+    return sum(_KIND_BITS[kind] for kind in set(kinds))
 
 
 @dataclass(slots=True)
@@ -185,6 +197,12 @@ class MatchReport:
     so a report round-trips losslessly through the record ledger.
     Per-label counts tally each record under its gold label when a gold
     side is present, otherwise under its prediction label.
+
+    The tallies that scoring reads are kept as well, so that no convention
+    passes over the records again: ``pred_kind_counts`` counts predictions
+    by (label, record kind), ``gold_masks`` holds the ``kinds_mask`` of each
+    gold's records, ``gold_mask_counts`` counts golds by (label, mask), and
+    ``type5`` holds the Type-5 records.
     """
 
     records: list[MatchRecord]
@@ -194,44 +212,65 @@ class MatchReport:
     pred_total: int
     gold_by_label: dict[str, int]
     pred_by_label: dict[str, int]
+    pred_kind_counts: dict[tuple[str, MismatchType], int]
+    gold_masks: dict[GoldKey, int]
+    gold_mask_counts: dict[tuple[str, int], int]
+    type5: list[MatchRecord]
 
     @classmethod
     def from_records(cls, records: Iterable[MatchRecord]) -> "MatchReport":
         recs = list(records)
+        # records by (prediction label or None, gold label or None, kind)
+        tally: Counter[tuple[str | None, str | None, MismatchType]] = Counter()
+        gold_labels: dict[GoldKey, str] = {}
+        gold_masks: dict[GoldKey, int] = {}
+        bits = _KIND_BITS
+        type5 = []
+        for r in recs:
+            kind, pred, gold = r.kind, r.pred, r.gold
+            if gold is None:
+                tally[pred.label, None, kind] += 1  # type: ignore[union-attr]
+            else:
+                tally[pred and pred.label, gold.label, kind] += 1
+                key = (r.doc_id, gold.start, gold.end)
+                gold_labels[key] = gold.label
+                gold_masks[key] = gold_masks.get(key, 0) | bits[kind]
+            if kind is _TYPE5:
+                type5.append(r)
         counts = dict.fromkeys(MismatchType, 0)
         per_label: dict[str, dict[MismatchType, int]] = {}
-        gold_labels: dict[GoldKey, str] = {}
-        pred_total = 0
+        pred_kind_counts: Counter[tuple[str, MismatchType]] = Counter()
+        for (pred_label, gold_label, kind), n in tally.items():
+            counts[kind] += n
+            label = pred_label if gold_label is None else gold_label
+            if label not in per_label:
+                per_label[label] = dict.fromkeys(MismatchType, 0)
+            per_label[label][kind] += n
+            if pred_label is not None:
+                pred_kind_counts[pred_label, kind] += n
         pred_by_label: Counter[str] = Counter()
-        for r in recs:
-            counts[r.kind] += 1
-            label = r.gold.label if r.gold is not None else r.pred.label  # type: ignore[union-attr]
-            tally = per_label.get(label)
-            if tally is None:
-                tally = per_label[label] = dict.fromkeys(MismatchType, 0)
-            tally[r.kind] += 1
-            if r.pred is not None:
-                pred_total += 1
-                pred_by_label[r.pred.label] += 1
-            key = r.gold_key()
-            if key is not None:
-                gold_labels[key] = r.gold.label  # type: ignore[union-attr]
+        for (label, _), n in pred_kind_counts.items():
+            pred_by_label[label] += n
         gold_by_label = Counter(gold_labels.values())
         return cls(
             recs,
             counts,
             per_label,
             len(gold_labels),
-            pred_total,
+            sum(pred_by_label.values()),
             dict(sorted(gold_by_label.items())),
             dict(sorted(pred_by_label.items())),
+            dict(pred_kind_counts),
+            gold_masks,
+            dict(Counter(zip(gold_labels.values(), gold_masks.values()))),
+            type5,
         )
 
     def error_total(self) -> int:
         return sum(self.counts[k] for k in ERROR_TYPES)
 
     def type5_records(self) -> list[MatchRecord]:
-        return [r for r in self.records if r.kind is MismatchType.TYPE5_RIGHT_LABEL_OVERLAP]
+        return self.type5
 
     def labels(self) -> list[str]:
         return sorted(set(self.gold_by_label) | set(self.pred_by_label))

@@ -3,8 +3,8 @@
 Every convention is the same count over match records and differs only in
 which records earn credit: those of a fixed set of mismatch kinds, plus,
 for the learning-based and human conventions, the Type-5 records whose ids
-were accepted. One pass over the records yields the overall and per-label
-scores of a convention.
+were accepted. The overall and per-label scores of a convention come from
+the tallies ``MatchReport`` keeps, without a pass over the records.
 
 Prediction-side and gold-side true positives are tracked separately:
 ``precision = tp_pred / (tp_pred + fp)`` and ``recall = tp_gold /
@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Container, Iterable, Mapping
 
 from .classifier import Decision, Verdict
-from .matcher import GoldKey, MatchReport, MismatchType
+from .matcher import GoldKey, MatchReport, MismatchType, kinds_mask
 
 
 class Convention(Enum):
@@ -107,23 +107,32 @@ def _credit(
     kinds: frozenset[MismatchType],
     accepted: frozenset[str] = frozenset(),
 ) -> _Credit:
-    """Per-label ``tp_pred`` and ``tp_gold`` from one pass over the records.
+    """Per-label ``tp_pred`` and ``tp_gold`` from the report's tallies.
 
     A record earns credit when its kind is in ``kinds`` or it is a Type-5
     record whose id is in ``accepted``; a gold mention earns gold-side
-    credit once, with its first credited record.
+    credit once, when any of its records does. Of the records themselves
+    only the Type-5 ones are read, and only when some are accepted and
+    ``kinds`` leaves Type 5 out.
     """
+    mask = kinds_mask(kinds)
     tp_pred: Counter[str] = Counter()
+    for (label, kind), n in report.pred_kind_counts.items():
+        if kind in kinds:
+            tp_pred[label] += n
     tp_gold: Counter[str] = Counter()
-    credited_golds: set[GoldKey] = set()
-    for r in report.records:
-        if r.kind in kinds or (r.kind is _TYPE5 and r.record_id in accepted):
-            if r.pred is not None:
-                tp_pred[r.pred.label] += 1
-            key = r.gold_key()
-            if key is not None and key not in credited_golds:
-                credited_golds.add(key)
-                tp_gold[r.gold.label] += 1  # type: ignore[union-attr]
+    for (label, gold_mask), n in report.gold_mask_counts.items():
+        if gold_mask & mask:
+            tp_gold[label] += n
+    if accepted and _TYPE5 not in kinds:
+        credited_golds: set[GoldKey] = set()
+        for r in report.type5_records():
+            if r.record_id in accepted:
+                tp_pred[r.pred.label] += 1  # type: ignore[union-attr]
+                key = r.gold_key()
+                if not report.gold_masks[key] & mask and key not in credited_golds:
+                    credited_golds.add(key)
+                    tp_gold[r.gold.label] += 1  # type: ignore[union-attr]
     return tp_pred, tp_gold
 
 
@@ -214,7 +223,7 @@ def refined_f(
 def learning_based_scores(
     report: MatchReport, decisions: Mapping[str, Decision]
 ) -> tuple[PRF, dict[str, PRF]]:
-    """Overall and per-label learning-based scores from one pass over the records.
+    """Overall and per-label learning-based scores.
 
     Requires a decision per Type-5 record.
     """
@@ -244,14 +253,10 @@ class MetricSuite:
 
 def metric_suite(report: MatchReport) -> MetricSuite:
     """The six fixed conventions; decisions are scored by ``learning_based_scores``."""
-    # conventions that credit the same kinds (semeval_strict and exact,
-    # semeval_type and relaxed) share one pass over the records
-    credits: dict[frozenset[MismatchType], _Credit] = {}
-    scores = {}
-    for conv, kinds in _CREDIT_KINDS.items():
-        if kinds not in credits:
-            credits[kinds] = _credit(report, kinds)
-        scores[conv] = _score(report, conv, credits[kinds])
+    scores = {
+        conv: _score(report, conv, _credit(report, kinds))
+        for conv, kinds in _CREDIT_KINDS.items()
+    }
     overall = {conv: score[0] for conv, score in scores.items()}
     per_label = {c: s[1] for c, s in scores.items() if c not in _OVERALL_ONLY}
     return MetricSuite(overall, per_label)

@@ -5,8 +5,11 @@ bookkeeping, sharing no code with the library's staged matcher, and the
 recount helpers recompute scores straight from entity lists.
 ``oracle_parse_iob`` is the two-pass IOB reader that the library's
 one-pass ``parse_iob`` replaced, kept as it was, and ``iob2_tags`` encodes
-a parsed side back into IOB2 tags. Tests compare library output against
-these.
+a parsed side back into IOB2 tags. ``oracle_parse_standoff`` is the
+standoff reader that checked each token and entity in Python, and
+``oracle_scores`` scores a convention by the per-record pass that the
+library's tallies replaced, both kept as they were. Tests compare library
+output against these.
 """
 
 from __future__ import annotations
@@ -25,8 +28,10 @@ from entmatch.corpus import (
     TagScheme,
     build_document,
     decode_utf8,
+    read_jsonl,
 )
-from entmatch.matcher import MismatchType
+from entmatch.matcher import MatchRecord, MismatchType
+from entmatch.metrics import PRF, Convention
 
 EXACT = MismatchType.EXACT_MATCH
 T1 = MismatchType.TYPE1_FALSE_POSITIVE
@@ -483,3 +488,144 @@ def iob2_tags(document: Document, source: Source) -> list[str]:
         for i in range(m.start + 1, m.end):
             tags[i] = f"I-{m.label}"
     return tags
+
+
+# ---------------------------------------------------------------------------
+# standoff reader with per-token and per-entity checks in Python
+
+
+def oracle_parse_standoff(content: bytes | str) -> Corpus:
+    """Parse a line-delimited JSON standoff file into a corpus."""
+    documents = [
+        _document_from_standoff(obj, line_no)
+        for line_no, obj in read_jsonl(content, "standoff file")
+    ]
+    return Corpus.from_documents(documents)
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _document_from_standoff(obj: dict, line_no: int) -> Document:
+    doc_id = obj.get("doc_id")
+    if not isinstance(doc_id, str) or not doc_id:
+        raise ParseError("missing or invalid 'doc_id'", line_no)
+    token_texts = obj.get("tokens")
+    if not isinstance(token_texts, list) or any(
+        not isinstance(t, str) or not t or t.isspace() for t in token_texts
+    ):
+        raise ParseError("'tokens' must be a list of non-empty strings", line_no)
+    starts = obj.get("sentence_starts", [0] if token_texts else [])
+    if (
+        not isinstance(starts, list)
+        or not all(_is_int(s) for s in starts)
+        or starts != sorted(set(starts))
+        or (token_texts and (not starts or starts[0] != 0))
+        or any(s >= len(token_texts) for s in starts)
+    ):
+        raise ParseError("invalid 'sentence_starts'", line_no)
+    tokens = tuple(token_texts)
+
+    raw_entities = obj.get("entities")
+    if not isinstance(raw_entities, list):
+        raise ParseError("'entities' must be a list", line_no)
+    gold: list[EntityMention] = []
+    pred: list[EntityMention] = []
+    for ent in raw_entities:
+        if not isinstance(ent, dict):
+            raise ParseError("entity entry must be a JSON object", line_no)
+        try:
+            start, end = ent["start"], ent["end"]
+            label = ent["label"]
+            source_value = ent["source"]
+        except KeyError as exc:
+            raise ParseError(f"entity missing field {exc.args[0]!r}", line_no) from None
+        if not _is_int(start) or not _is_int(end):
+            raise ParseError("entity span indices must be integers", line_no)
+        if end <= start:
+            raise ParseError(f"empty or inverted span [{start}, {end})", line_no)
+        if start < 0 or end > len(tokens):
+            raise ParseError(
+                f"span [{start}, {end}) outside document bounds "
+                f"[0, {len(tokens)})",
+                line_no,
+            )
+        if not isinstance(label, str) or not label.strip() or label.strip() == "O":
+            raise ParseError(f"invalid entity label {label!r}", line_no)
+        try:
+            source = Source(source_value)
+        except ValueError:
+            raise ParseError(f"invalid entity source {source_value!r}", line_no) from None
+        target = gold if source is Source.GOLD else pred
+        text = " ".join(tokens[start:end])
+        target.append(EntityMention(doc_id, start, end, label.strip(), text))
+    try:
+        return Document(doc_id, tokens, tuple(starts), gold, pred)
+    except ParseError as exc:
+        raise ParseError(str(exc), line_no) from None
+
+
+# ---------------------------------------------------------------------------
+# scoring by one pass over the records
+
+CREDIT_KINDS = {
+    Convention.EXACT: frozenset({EXACT}),
+    Convention.RELAXED: frozenset({EXACT, T5}),
+    Convention.SEMEVAL_STRICT: frozenset({EXACT}),
+    Convention.SEMEVAL_EXACT_BOUNDARY: frozenset({EXACT, T3}),
+    Convention.SEMEVAL_PARTIAL_BOUNDARY: frozenset({EXACT, T3, T4, T5}),
+    Convention.SEMEVAL_TYPE: frozenset({EXACT, T5}),
+}
+
+
+def _gold_key(r: MatchRecord):
+    return None if r.gold is None else (r.doc_id, r.gold.start, r.gold.end)
+
+
+def oracle_credit(records, kinds, accepted=frozenset()):
+    """Per-label ``tp_pred`` and ``tp_gold`` from one pass over the records.
+
+    A record earns credit when its kind is in ``kinds`` or it is a Type-5
+    record whose id is in ``accepted``; a gold mention earns gold-side
+    credit once, with its first credited record.
+    """
+    tp_pred: Counter[str] = Counter()
+    tp_gold: Counter[str] = Counter()
+    credited_golds = set()
+    for r in records:
+        if r.kind in kinds or (r.kind is T5 and r.record_id in accepted):
+            if r.pred is not None:
+                tp_pred[r.pred.label] += 1
+            key = _gold_key(r)
+            if key is not None and key not in credited_golds:
+                credited_golds.add(key)
+                tp_gold[r.gold.label] += 1
+    return tp_pred, tp_gold
+
+
+def oracle_scores(records, convention, kinds, accepted=frozenset()):
+    """Overall and per-label scores of a convention, from the records alone."""
+    pred_by_label = Counter(r.pred.label for r in records if r.pred is not None)
+    gold_labels = {_gold_key(r): r.gold.label for r in records if r.gold is not None}
+    gold_by_label = Counter(gold_labels.values())
+    tp_pred, tp_gold = oracle_credit(records, kinds, accepted)
+    per_label = {
+        label: PRF.from_counts(
+            convention,
+            tp_pred[label],
+            tp_gold[label],
+            pred_by_label[label] - tp_pred[label],
+            gold_by_label[label] - tp_gold[label],
+        )
+        for label in sorted(set(pred_by_label) | set(gold_by_label))
+    }
+    pred_hits, gold_hits = sum(tp_pred.values()), sum(tp_gold.values())
+    overall = PRF.from_counts(
+        convention,
+        pred_hits,
+        gold_hits,
+        sum(pred_by_label.values()) - pred_hits,
+        len(gold_labels) - gold_hits,
+    )
+    return overall, per_label

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -19,8 +21,11 @@ from entmatch.cli import (
     EXIT_PARSE,
     EXIT_UNCOVERED,
     EXIT_USAGE,
+    _write_json,
     main,
 )
+from entmatch.corpus import Corpus, Document, Source, serialize_standoff, write_jsonl
+from oracle import random_paired_corpus
 
 LIVER_TOKENS = "1cm cyst in the right lobe of the liver".split()
 
@@ -982,6 +987,95 @@ def test_judge_lone_surrogate_in_json_line_exits_2(workspace, capsys):
 
 
 # ---------------------------------------------------------------------------
+# non-finite numbers, which JSON (RFC 8259) does not allow
+
+
+def _with_number(obj, number: str) -> str:
+    """``obj`` as JSON text with the string "<number>" replaced by ``number``."""
+    return json.dumps(obj).replace('"<number>"', number)
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
+@pytest.mark.parametrize("command", ["refine", "judge"])
+def test_report_holding_a_non_finite_number_exits_2(workspace, capsys, command, number):
+    _, out = _eval(workspace)
+    ids = _report_t5_ids(out)
+    responses = workspace / "responses.jsonl"
+    responses.write_text(
+        "".join(
+            json.dumps({"id": rid, "label": "problem", "confidence": 1.0}) + "\n"
+            for rid in ids
+        )
+    )
+    judgements = workspace / "judgements.tsv"
+    judgements.write_text("".join(f"{rid}\t4\n" for rid in ids))
+    doc = json.loads(out.read_text())
+    doc["metrics"]["exact"]["f1"] = "<number>"
+    out.write_text(_with_number(doc, number))
+    argv = (
+        ["refine", str(out), "--external-decisions", str(responses)]
+        if command == "refine"
+        else ["judge", str(out), str(judgements)]
+    )
+    result = workspace / "result.json"
+    capsys.readouterr()
+    code = main(argv + ["--out", str(result)])
+    err = _assert_parse_error(code, capsys)
+    assert "report holds a number that is not finite" in err
+    assert not result.exists()
+    assert not (workspace / "result.decisions.jsonl").exists()
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_standoff_line_holding_a_non_finite_literal_exits_2(workspace, capsys, literal):
+    # an unknown field is otherwise ignored, so only the literal is at fault
+    line = {"doc_id": "d", "tokens": ["a"], "entities": [], "note": "<number>"}
+    corpus = workspace / "corpus.jsonl"
+    corpus.write_text("\n" + _with_number(line, literal) + "\n")
+    report = workspace / "r.json"
+    code = main(
+        ["eval", str(corpus), str(corpus), "--format", "standoff", "--out", str(report)]
+    )
+    err = _assert_parse_error(code, capsys)
+    assert f"line 2: invalid JSON: non-finite number {literal}" in err
+    assert not report.exists()
+
+
+def test_judgement_line_holding_a_non_finite_literal_exits_2(workspace, capsys):
+    _, out = _eval(workspace)
+    first, second = _report_t5_ids(out)
+    judgements = workspace / "judgements.tsv"
+    line = {"record_id": second, "score": 4, "weight": "<number>"}
+    judgements.write_text(f"{first}\t4\n{_with_number(line, 'Infinity')}\n")
+    judged = workspace / "judged.json"
+    capsys.readouterr()
+    code = main(["judge", str(out), str(judgements), "--out", str(judged)])
+    err = _assert_parse_error(code, capsys)
+    assert "line 2: invalid JSON: non-finite number Infinity" in err
+    assert not judged.exists()
+
+
+def test_model_header_holding_a_non_finite_literal_exits_2(workspace, capsys):
+    _, out = _eval(workspace)
+    model = workspace / "bad.entcls"
+    header = _with_number({**_MODEL_HEADER, "note": "<number>"}, "-Infinity")
+    model.write_bytes(_model_blob(header.encode()))
+    capsys.readouterr()
+    code = main(["refine", str(out), "--model", str(model)])
+    err = _assert_parse_error(code, capsys)
+    assert "model header is not JSON: non-finite number -Infinity" in err
+
+
+def test_json_writers_refuse_non_finite_numbers(tmp_path):
+    with pytest.raises(ValueError):
+        write_jsonl([{"confidence": float("nan")}], tmp_path / "out.jsonl")
+    report = tmp_path / "report.json"
+    with pytest.raises(ValueError):
+        _write_json({"f1": float("inf")}, report)
+    assert not report.exists()
+
+
+# ---------------------------------------------------------------------------
 # perturbation round trip
 
 
@@ -1030,6 +1124,81 @@ def test_perturb_then_eval_reproduces_expected_counts(workspace, capsys):
 
     want = Counter(row["kind"] for row in expected_rows)
     assert got == {kind: want.get(kind, 0) for kind in got}
+
+
+# ---------------------------------------------------------------------------
+# output bytes
+
+
+def _one_side(corpus: Corpus, source: Source) -> str:
+    """The standoff text of ``corpus`` with only its ``source`` mentions."""
+    return serialize_standoff(
+        Corpus.from_documents(
+            Document(
+                d.doc_id,
+                d.tokens,
+                d.sentence_starts,
+                d.gold_entities if source is Source.GOLD else [],
+                d.pred_entities if source is Source.PREDICTED else [],
+            )
+            for d in corpus.documents
+        )
+    )
+
+
+# sha256 of the files that eval (with --render markdown), refine
+# --external-decisions and judge --decisions write for random_paired_corpus
+# at seed 31; constants, so a change that moves one output byte fails here
+PINNED_PIPELINE_SHA256 = {
+    "report.json": "8e2cc111b52622ac729304d5b2abdb4eecf86d8822a525679c41516be629f7e2",
+    "report.ledger.jsonl": "df4ae60807afdaa04c6d4ef1e465730c6c4925540ec168f74caa08e5c2025233",
+    "report.md": "2639fe7e4de367cd1e50403137862c23288f869ff89757eecf297770942d6309",
+    "refined.json": "3002c67365a1e75b21d44f86ab22049394ffcd4345e18de9f365d380f0a110a4",
+    "refined.decisions.jsonl": "5565da2829dfe8768fca5222b9bcc047f36bac09a36bb752ff41e90d5b37eef9",
+    "refined.md": "9bad5aa6c078ce0ec084ee26d19cd197c413b7cdfa027548032e045de3330b19",
+    "judged.json": "351dab44d5bb2080946cc8b29faa410caa76536935dbcdb818d70cba400594ba",
+    "judged.md": "1e99fa0c7610a76d603df20a6b8d72c147b1f21f57d6a18f505727c60f19a8fd",
+}
+
+
+def test_pipeline_output_files_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    corpus = random_paired_corpus(
+        random.Random(31), 60, max_tokens=30, max_entities=10, labels=("A", "B", "C")
+    )
+    (tmp_path / "gold.jsonl").write_text(_one_side(corpus, Source.GOLD), "utf-8")
+    (tmp_path / "pred.jsonl").write_text(_one_side(corpus, Source.PREDICTED), "utf-8")
+    render = ["--render", "markdown"]
+    argv = ["eval", "gold.jsonl", "pred.jsonl", "--format", "standoff", "--out", "report.json"]
+    assert main(argv + render) == EXIT_OK
+    rows = [json.loads(line) for line in open("report.ledger.jsonl", encoding="utf-8")]
+    type5 = [row for row in rows if row["kind"] == "type5"]
+    assert len(type5) > 20
+    # the external classifier names another label for every third record,
+    # which rejects it, and varies its confidence; the scores cycle through 1..5
+    responses = []
+    for i, row in enumerate(type5):
+        label = row["pred"]["label"]
+        if i % 3 == 0:
+            label = "B" if label == "A" else "A"
+        responses.append({"id": row["record_id"], "label": label, "confidence": (i % 7) / 6})
+    (tmp_path / "responses.jsonl").write_text(
+        "".join(json.dumps(response) + "\n" for response in responses)
+    )
+    (tmp_path / "scores.tsv").write_text(
+        "".join(f"{row['record_id']}\t{1 + i % 5}\n" for i, row in enumerate(type5))
+    )
+    argv = ["refine", "report.json", "--external-decisions", "responses.jsonl",
+            "--out", "refined.json"]
+    assert main(argv + render) == EXIT_OK
+    argv = ["judge", "refined.json", "scores.tsv", "--decisions",
+            "refined.decisions.jsonl", "--out", "judged.json"]
+    assert main(argv + render) == EXIT_OK
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in PINNED_PIPELINE_SHA256
+    }
+    assert digests == PINNED_PIPELINE_SHA256
 
 
 # ---------------------------------------------------------------------------

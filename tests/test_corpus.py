@@ -5,7 +5,7 @@ import logging
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from entmatch.corpus import (
     AlignmentError,
@@ -22,7 +22,13 @@ from entmatch.corpus import (
     serialize_standoff,
     write_jsonl,
 )
-from oracle import iob2_tags, mentions, oracle_parse_iob, random_paired_corpus
+from oracle import (
+    iob2_tags,
+    mentions,
+    oracle_parse_iob,
+    oracle_parse_standoff,
+    random_paired_corpus,
+)
 
 
 def _spans(corpus, doc=0, source=Source.GOLD):
@@ -282,6 +288,110 @@ def test_standoff_round_trip_keeps_both_sides(seed, n_docs):
     assert parse_standoff(serialize_standoff(corpus)) == corpus
 
 
+# values that make a standoff line malformed, by the field they replace;
+# "start" to "source" replace a field of one entity, and a line may instead
+# repeat one of its entities, so that two spans of one side overlap
+_STANDOFF_DEFECTS = {
+    "doc_id": ("", 3, None),
+    "tokens": (
+        None, "a b", {"a": 1}, ["a", 1], ["a", 1.0], ["a", True], ["a", None],
+        ["a", ["b"]], ["a", ""], [""], ["a", " "], ["a", "\t"], ["\u3000"],
+    ),
+    "sentence_starts": (
+        [], [1], [0, 0], [2, 0], [0, -1], [0, 99], [0, True], [False], [0, 1.0],
+        [0.0], "0", None, {"0": 0},
+    ),
+    "entities": (None, {}, "e", [[]], ["x"], [None], [{"start": 0, "end": 9}]),
+    "start": (True, False, 1.0, 2.5, None, "1", -1, 99),
+    "end": (True, False, 1.0, None, "1", 0, 99),
+    "label": ("O", " O ", "", " ", 3, None, ["A"]),
+    "source": ("Gold", "pred", "", None, 1, [], {}, ["gold"], {"gold": 1}),
+}
+
+
+@st.composite
+def _standoff_lines(draw):
+    """A valid standoff line, or now and then one with a single defect:
+    a field that is missing or holds one of ``_STANDOFF_DEFECTS``."""
+    n = draw(st.integers(0, 8))
+    tokens = draw(st.lists(st.sampled_from(("a", "b", "O", "x y", "é")), min_size=n, max_size=n))
+    entities = []
+    for source in ("gold", "predicted"):
+        pos = 0  # flat on each side, but one side may overlap the other
+        while pos < n and draw(st.sampled_from((True, True, False))):
+            start = draw(st.integers(pos, n - 1))
+            end = draw(st.integers(start + 1, min(n, start + 3)))
+            label = draw(st.sampled_from(("A", "B", " A ")))
+            entities.append({"start": start, "end": end, "label": label, "source": source})
+            pos = end
+    obj = {
+        "doc_id": f"d{draw(st.integers(0, 20))}",
+        "tokens": tokens,
+        "entities": draw(st.permutations(entities)),
+    }
+    if draw(st.booleans()):
+        obj["sentence_starts"] = sorted({0, *draw(st.sets(st.integers(1, max(1, n - 1))))})
+    # about one line in three has a defect
+    field = draw(st.sampled_from([None] * 18 + [*_STANDOFF_DEFECTS, "overlap"]))
+    if field == "overlap":
+        if entities:  # a second copy of one entity overlaps it on its side
+            obj["entities"].append(dict(draw(st.sampled_from(entities))))
+    elif field is not None:
+        target = obj
+        if field in ("start", "end", "label", "source"):
+            if not entities:
+                return json.dumps(obj)
+            target = draw(st.sampled_from(entities))
+        if draw(st.integers(0, 4)) == 0:
+            target.pop(field, None)
+        else:
+            target[field] = draw(st.sampled_from(_STANDOFF_DEFECTS[field]))
+    return json.dumps(obj)
+
+
+def _edited_line(**edits) -> str:
+    """A valid standoff line with fields replaced: ``start``, ``end``,
+    ``label`` and ``source`` in its entity, the rest in the document."""
+    entity = {"start": 0, "end": 2, "label": "A", "source": "gold"}
+    obj = {"doc_id": "d", "tokens": ["a", "b", "c"], "entities": [entity]}
+    for field, value in edits.items():
+        (entity if field in entity else obj)[field] = value
+    return json.dumps(obj)
+
+
+@settings(max_examples=400, deadline=None)
+@example(lines=[_edited_line()])
+@example(lines=[_edited_line(), _edited_line(tokens="a b c")])
+@example(lines=[_edited_line(tokens=["a", 1, "c"])])
+@example(lines=[_edited_line(tokens=["a", "", "c"])])
+@example(lines=[_edited_line(tokens=["a", " ", "c"])])
+@example(lines=[_edited_line(start=False)])
+@example(lines=[_edited_line(end=True, start=0)])
+@example(lines=[_edited_line(end=2.0)])
+@example(lines=[_edited_line(source="pred")])
+@example(lines=[_edited_line(source=[])])
+@example(lines=[_edited_line(source={"gold": 1})])
+@example(lines=[_edited_line(sentence_starts=[0, True])])
+@example(lines=[_edited_line(sentence_starts=[0.0])])
+@example(lines=[_edited_line(sentence_starts=[1])])
+@given(
+    lines=st.lists(
+        st.one_of(*[_standoff_lines()] * 5, st.sampled_from(("", " "))), max_size=4
+    )
+)
+def test_standoff_reader_matches_the_per_item_oracle(lines):
+    content = "\n".join(lines)
+
+    def read(reader):
+        """The corpus of one reader, or its ParseError text."""
+        try:
+            return reader(content)
+        except ParseError as exc:
+            return str(exc)
+
+    assert read(parse_standoff) == read(oracle_parse_standoff)
+
+
 # ---------------------------------------------------------------------------
 # pairing
 
@@ -420,6 +530,13 @@ _JSON = st.recursive(
 @given(objects=st.lists(st.dictionaries(_TEXT, _JSON, max_size=4), max_size=5))
 def test_write_jsonl_writes_json_dumps_lines(tmp_path_factory, objects):
     path = tmp_path_factory.mktemp("jsonl") / "out.jsonl"
+    try:
+        want = "".join(
+            json.dumps(obj, ensure_ascii=False, allow_nan=False) + "\n" for obj in objects
+        )
+    except ValueError:  # NaN or an infinity, which JSON does not allow
+        with pytest.raises(ValueError):
+            write_jsonl(iter(objects), path)
+        return
     write_jsonl(iter(objects), path)
-    want = "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objects)
     assert path.read_bytes() == want.encode("utf-8")

@@ -8,7 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from entmatch.classifier import Decision, Verdict, load_external_decisions
 from entmatch.judgement import JudgementRecord, UserProfile, human_f
-from entmatch.matcher import MatchReport, classify_corpus, classify_document
+from entmatch.corpus import EntityMention
+from entmatch.matcher import (
+    MatchRecord,
+    MatchReport,
+    MismatchType,
+    classify_corpus,
+    classify_document,
+)
 from entmatch.metrics import (
     Convention,
     PRF,
@@ -22,7 +29,18 @@ from entmatch.metrics import (
     relaxed_f,
     semeval_modes,
 )
-from oracle import mentions, random_paired_corpus, recount_exact, recount_relaxed
+from oracle import (
+    CREDIT_KINDS,
+    EXACT,
+    T1,
+    T2,
+    T5,
+    mentions,
+    oracle_scores,
+    random_paired_corpus,
+    recount_exact,
+    recount_relaxed,
+)
 
 
 def _nums(prf: PRF):
@@ -316,3 +334,89 @@ def test_macro_average_is_unweighted_mean():
 
 def test_macro_average_of_nothing_is_zero():
     assert macro_average({}) == (0.0, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# against the per-record oracle
+
+
+@st.composite
+def _hand_built_records(draw):
+    """Records over a small pool of golds, so that one gold may anchor several
+    records of any kinds: several Type-5 records, or an exact record beside
+    Type-4 or Type-5 ones, which a ledger may hold but the matcher never
+    writes. Exact and Type-5 predictions carry their gold's label, Type-3
+    and Type-4 ones another label."""
+    golds = [
+        EntityMention(f"d{d}", i, i + 1, draw(st.sampled_from("AB")), f"w{i}")
+        for d in range(draw(st.integers(1, 2)))
+        for i in range(draw(st.integers(0, 4)))
+    ]
+    records = []
+    for i in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(MismatchType)) if golds else T1
+        gold = None if kind is T1 else draw(st.sampled_from(golds))
+        pred = None
+        if kind is not T2:
+            if kind is T1:
+                label = draw(st.sampled_from("ABC"))
+            elif kind in (EXACT, T5):
+                label = gold.label
+            else:
+                label = "B" if gold.label == "A" else "A"
+            doc_id = gold.doc_id if gold else "d0"
+            pred = EntityMention(doc_id, 10 + i, 11 + i, label, "p")
+        doc_id = (gold or pred).doc_id
+        records.append(MatchRecord(f"{doc_id}:{i}", doc_id, kind, pred, gold, 0))
+    return records
+
+
+_RECORDS = _hand_built_records() | st.integers(0, 1 << 16).map(
+    lambda seed: classify_corpus(random_paired_corpus(random.Random(seed), 6)).records
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=_RECORDS, data=st.data())
+def test_every_convention_matches_the_per_record_oracle(records, data):
+    report = MatchReport.from_records(records)
+    t5_ids = [r.record_id for r in records if r.kind is T5]
+    # accepted ids may name records of any kind, and records that do not exist
+    ids = [r.record_id for r in records] + ["ghost:0", "ghost:1"]
+    accepted = frozenset(data.draw(st.sets(st.sampled_from(ids)), label="accepted"))
+
+    suite = metric_suite(report)
+    assert set(suite.overall) == set(CREDIT_KINDS)
+    for conv, kinds in CREDIT_KINDS.items():
+        overall, per_label = oracle_scores(records, conv, kinds)
+        assert suite.overall[conv] == overall
+        if conv is not Convention.SEMEVAL_PARTIAL_BOUNDARY:
+            assert suite.per_label[conv] == per_label
+    assert exact_f(report) == suite.overall[Convention.EXACT]
+    assert relaxed_f(report) == suite.overall[Convention.RELAXED]
+    assert semeval_modes(report) == {
+        conv: suite.overall[conv] for conv in semeval_modes(report)
+    }
+
+    learning = Convention.LEARNING_BASED
+    exact_kinds = CREDIT_KINDS[Convention.EXACT]
+    want = oracle_scores(records, learning, exact_kinds, accepted)
+    assert refined_f(report, accepted) == want[0]
+    decisions = {
+        rid: Decision(rid, Verdict.ACCEPT if rid in accepted else Verdict.REJECT)
+        for rid in t5_ids + ["ghost:0"]
+    }
+    assert learning_based_scores(report, decisions) == want
+    assert learning_based_f(report, decisions) == want[0]
+
+    scores = data.draw(
+        st.lists(st.integers(1, 5), min_size=len(t5_ids), max_size=len(t5_ids)),
+        label="scores",
+    )
+    judgements = [JudgementRecord(rid, score) for rid, score in zip(t5_ids, scores)]
+    for profile in UserProfile:
+        judged = frozenset(
+            j.record_id for j in judgements if j.score >= profile.min_accepted_score
+        )
+        want = oracle_scores(records, profile.convention, exact_kinds, judged)
+        assert human_f(report, judgements, profile) == want[0]
