@@ -40,6 +40,10 @@ _MAGIC = b"ENTMATCH-CLS1"
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+# A text's score for a label is its bias plus its feature counts times their
+# weights. Below this magnitude (2**512) no text shorter than about 1e153
+# characters can overflow a score, so a trained model scores every text.
+_WEIGHT_LIMIT = 2.0**512
 _HEADER_FIELDS = (
     ("format_version", int),
     ("labels", list),
@@ -273,7 +277,9 @@ def train(pairs: Sequence, config: TrainConfig = TrainConfig()) -> ClassifierMod
 
     Accepts any objects with ``text`` and ``label`` attributes. Examples
     are shuffled once per epoch with a generator seeded from the config,
-    so identical inputs and config reproduce the model byte for byte.
+    so identical inputs and config reproduce the model byte for byte. A
+    run that diverges, leaving a weight or bias that is not finite or not
+    below ``_WEIGHT_LIMIT`` in magnitude, raises ``ValueError``.
     """
     import numpy as np
 
@@ -286,30 +292,38 @@ def train(pairs: Sequence, config: TrainConfig = TrainConfig()) -> ClassifierMod
 
     featurize = _Featurizer(config.buckets)
     lr = config.learning_rate
-    examples: list[tuple[np.ndarray, np.ndarray, np.ndarray, int]] = []
-    for p in pairs:
-        if not p.text.strip():
-            raise ValueError("training pair with empty text")
-        idx, val = featurize(p.text)
-        examples.append((idx, val, lr * val[:, None], label_index[p.label]))
-    del featurize  # its caches are done with once every text has arrays
+    # a rate too large overflows; the check after the loop reports it once
+    with np.errstate(over="ignore", invalid="ignore"):
+        examples: list[tuple[np.ndarray, np.ndarray, np.ndarray, int]] = []
+        for p in pairs:
+            if not p.text.strip():
+                raise ValueError("training pair with empty text")
+            idx, val = featurize(p.text)
+            examples.append((idx, val, lr * val[:, None], label_index[p.label]))
+        del featurize  # its caches are done with once every text has arrays
 
-    weights = np.zeros((config.buckets, len(labels)), dtype=np.float64)
-    bias = np.zeros(len(labels), dtype=np.float64)
-    rng = Random(config.seed)
-    for _ in range(config.epochs):
-        # shuffle's swaps depend on the generator and the length only, so
-        # the visiting order is fixed by the seed and the number of pairs
-        rng.shuffle(examples)
-        for idx, val, step, y in examples:
-            rows = weights[idx]
-            scores = bias + val @ rows
-            probs = np.exp(scores - scores.max())
-            probs /= probs.sum()
-            probs[y] -= 1.0
-            rows -= step * probs
-            weights[idx] = rows
-            bias -= lr * probs
+        weights = np.zeros((config.buckets, len(labels)), dtype=np.float64)
+        bias = np.zeros(len(labels), dtype=np.float64)
+        rng = Random(config.seed)
+        for _ in range(config.epochs):
+            # shuffle's swaps depend on the generator and the length only, so
+            # the visiting order is fixed by the seed and the number of pairs
+            rng.shuffle(examples)
+            for idx, val, step, y in examples:
+                rows = weights[idx]
+                scores = bias + val @ rows
+                probs = np.exp(scores - scores.max())
+                probs /= probs.sum()
+                probs[y] -= 1.0
+                rows -= step * probs
+                weights[idx] = rows
+                bias -= lr * probs
+    # NaN fails both comparisons, as an infinity fails one
+    if not all(-_WEIGHT_LIMIT < a.min() <= a.max() < _WEIGHT_LIMIT for a in (weights, bias)):
+        raise ValueError(
+            f"training diverged at learning rate {lr}: a weight is not finite "
+            f"or beyond {_WEIGHT_LIMIT:g}"
+        )
     return ClassifierModel(tuple(labels), config.buckets, weights, bias, config)
 
 
@@ -333,19 +347,31 @@ def decide_type5(model: ClassifierModel, report: MatchReport) -> dict[str, Decis
     """Accept a Type-5 record iff the model reproduces its label.
 
     The confidence is reported alongside but never changes the verdict; a
-    predicted ``other`` can never equal an entity label, hence rejects.
+    predicted ``other`` can never equal an entity label, hence rejects. A
+    model whose probabilities for a text are not finite, because its
+    weights are not or their sum overflows, raises ``ParseError``.
     """
+    import numpy as np
+
     featurize = _Featurizer(model.buckets)
     decisions: dict[str, Decision] = {}
-    for record in report.type5_records():
-        assert record.pred is not None
-        probs = _probabilities(model, featurize, record.pred.text)
-        best = int(probs.argmax())
-        label = model.labels[best]
-        verdict = Verdict.ACCEPT if label == record.pred.label else Verdict.REJECT
-        decisions[record.record_id] = Decision(
-            record.record_id, verdict, label, float(probs[best])
-        )
+    # a model that overflows is reported once, by the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for record in report.type5_records():
+            assert record.pred is not None
+            probs = _probabilities(model, featurize, record.pred.text)
+            best = int(probs.argmax())  # the first NaN, if there is one
+            confidence = float(probs[best])
+            if not math.isfinite(confidence):
+                raise ParseError(
+                    "model gives a non-finite probability for record "
+                    f"{record.record_id!r}"
+                )
+            label = model.labels[best]
+            verdict = Verdict.ACCEPT if label == record.pred.label else Verdict.REJECT
+            decisions[record.record_id] = Decision(
+                record.record_id, verdict, label, confidence
+            )
     return decisions
 
 

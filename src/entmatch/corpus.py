@@ -117,10 +117,13 @@ _JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
 def write_jsonl(objects: Iterable[dict], path: str | Path) -> None:
     """Write one ``json.dumps(obj, ensure_ascii=False)`` line per object.
 
-    A float that is not finite raises ``ValueError``.
+    Every object is encoded before the file is opened, so one that cannot
+    be (a float that is not finite raises ``ValueError``) leaves an
+    existing file as it was and creates none.
     """
+    lines = [_JSONL_ENCODER.encode(obj) + "\n" for obj in objects]
     with open_output(path) as fh:
-        fh.writelines(_JSONL_ENCODER.encode(obj) + "\n" for obj in objects)
+        fh.writelines(lines)
 
 
 def has_lone_surrogate(value: object, allow_nan: bool = True) -> bool:

@@ -172,11 +172,14 @@ def agreement(
     """Classifier-versus-expert agreement over the jointly covered records.
 
     The expert side is binarized at score >= 2 (accepted or partially
-    accepted). Confidences come from the decisions.
+    accepted). Confidences come from the decisions. Decisions and
+    judgements that name records, none in common, raise ``ValueError``;
+    with none at all, as for a report without Type-5 records, every rate
+    is 0.
     """
     scores = {r.record_id: r.score for r in records}
     shared = sorted(set(scores) & set(decisions))
-    if not shared:
+    if not shared and (scores or decisions):
         raise ValueError("decisions and judgements cover no common record")
 
     classifier_accepts = {

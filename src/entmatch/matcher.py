@@ -350,10 +350,15 @@ def write_ledger(report: MatchReport, path: str | Path) -> None:
 
 
 def read_ledger(path: str | Path) -> MatchReport:
-    """Reconstruct a full match report from a record ledger file."""
+    """Reconstruct a full match report from a record ledger file.
+
+    A gold span that two records give different labels raises
+    ``ParseError``, as every other defect does.
+    """
     content = Path(path).read_bytes()
     records: list[MatchRecord] = []
     seen_ids: set[str] = set()
+    gold_labels: dict[GoldKey, str] = {}
     for line_no, obj in read_jsonl(content, "ledger"):
         record_id = obj.get("record_id")
         doc_id = obj.get("doc_id")
@@ -373,6 +378,14 @@ def read_ledger(path: str | Path) -> MatchReport:
             raise ParseError(
                 f"record kind {kind.value!r} has the wrong mention sides", line_no
             )
+        if gold is not None:
+            label = gold_labels.setdefault((doc_id, gold.start, gold.end), gold.label)
+            if label != gold.label:
+                raise ParseError(
+                    f"gold span [{gold.start}, {gold.end}) of document {doc_id!r} "
+                    f"has labels {label!r} and {gold.label!r}",
+                    line_no,
+                )
         overlap = obj.get("overlap_tokens")
         if not is_int(overlap) or overlap < 0:
             raise ParseError("invalid 'overlap_tokens'", line_no)

@@ -8,6 +8,7 @@ import json
 import os
 import random
 import stat
+import struct
 import subprocess
 import sys
 
@@ -512,6 +513,20 @@ def test_train_cls_with_non_finite_learning_rate_exits_1(workspace, capsys, rate
     assert not model.exists()
 
 
+def test_train_cls_that_diverges_exits_1(workspace, capsys, recwarn):
+    # a finite rate so large that the weights overflow to NaN
+    pairs, model = workspace / "pairs.jsonl", workspace / "m.entcls"
+    assert main(["build-clsdata", str(workspace / "gold.iob"), "--out", str(pairs)]) == EXIT_OK
+    capsys.readouterr()
+    code = main(["train-cls", str(pairs), "--learning-rate", "1e308", "--out", str(model)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert "training diverged" in err
+    assert not model.exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_build_clsdata_on_whitespace_only_standoff_token_exits_2(workspace, capsys):
     # a gold entity over the token would become a training pair of blank text
     line = {
@@ -760,6 +775,22 @@ def test_refine_with_well_formed_model_header_runs(workspace):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("value", [float("nan"), 1e308], ids=["nan", "overflowing"])
+def test_refine_with_non_finite_model_probabilities_exits_2(workspace, capsys, value):
+    _, out = _eval(workspace)
+    model = workspace / "bad.entcls"
+    header = json.dumps({**_MODEL_HEADER, "labels": ["problem", "treatment"]})
+    weights = struct.pack("<10d", *[value] * 10)
+    model.write_bytes(b"ENTMATCH-CLS1\n" + header.encode() + b"\n" + weights)
+    decisions = workspace / "refined.decisions.jsonl"
+    capsys.readouterr()
+    code = main(["refine", str(out), "--model", str(model),
+                 "--out", str(workspace / "refined.json")])
+    err = _assert_parse_error(code, capsys)
+    assert "model gives a non-finite probability" in err
+    assert not decisions.exists()
+
+
 @pytest.mark.parametrize("command", ["refine", "judge"])
 @pytest.mark.parametrize("content", ["[1, 2]", "{not json"])
 def test_malformed_report_exits_2(workspace, capsys, command, content):
@@ -971,6 +1002,26 @@ def test_judge_empty_judgements_without_type5_records_exits_0(workspace, capsys)
     assert section["score_distribution"]["percentages"] == {str(s): 0.0 for s in range(1, 6)}
 
 
+def test_judge_decisions_without_type5_records_exits_0(workspace, capsys):
+    # refine writes an empty decision file for a report without Type-5
+    # records; judge --decisions reads it back with nothing to agree on
+    (workspace / "pred.iob").write_text(GOLD_IOB)
+    _, out = _eval(workspace)
+    model = _train_model(workspace)
+    refined = workspace / "refined.json"
+    assert main(["refine", str(out), "--model", str(model), "--out", str(refined)]) == EXIT_OK
+    judgements = workspace / "judgements.tsv"
+    judgements.write_text("")
+    judged = workspace / "judged.json"
+    decisions = workspace / "refined.decisions.jsonl"
+    code = main(["judge", str(refined), str(judgements), "--decisions", str(decisions),
+                 "--out", str(judged)])
+    assert code == EXIT_OK, capsys.readouterr().err
+    agreement = json.loads(judged.read_text())["judgement"]["agreement"]
+    assert agreement["shared"] == 0
+    assert agreement["disagreement_rate_pct"] == "0.00"
+
+
 def test_judge_lone_surrogate_in_json_line_exits_2(workspace, capsys):
     _, out = _eval(workspace)
     first, second = _report_t5_ids(out)
@@ -1067,12 +1118,49 @@ def test_model_header_holding_a_non_finite_literal_exits_2(workspace, capsys):
 
 
 def test_json_writers_refuse_non_finite_numbers(tmp_path):
+    # a refusal creates no file and leaves an existing one as it was
+    objects = [{"a": 1}, {"confidence": float("nan")}]
+    fresh = tmp_path / "out.jsonl"
     with pytest.raises(ValueError):
-        write_jsonl([{"confidence": float("nan")}], tmp_path / "out.jsonl")
+        write_jsonl(objects, fresh)
+    assert not fresh.exists()
+    existing = tmp_path / "existing.jsonl"
+    existing.write_bytes(b'{"kept": true}\n')
+    with pytest.raises(ValueError):
+        write_jsonl(objects, existing)
+    assert existing.read_bytes() == b'{"kept": true}\n'
     report = tmp_path / "report.json"
     with pytest.raises(ValueError):
         _write_json({"f1": float("inf")}, report)
     assert not report.exists()
+
+
+@pytest.mark.parametrize("command", ["refine", "judge"])
+def test_ledger_giving_one_gold_span_two_labels_exits_2(workspace, capsys, command):
+    gold = {"span": [1, 3], "label": "A", "text": "b c"}
+    rows = [
+        {"record_id": "d:0", "doc_id": "d", "kind": "type5",
+         "pred": {"span": [1, 2], "label": "A", "text": "b"}, "gold": gold,
+         "overlap_tokens": 1},
+        {"record_id": "d:1", "doc_id": "d", "kind": "type2", "pred": None,
+         "gold": {**gold, "label": "B"}, "overlap_tokens": 0},
+    ]
+    ledger = workspace / "l.jsonl"
+    ledger.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    report = workspace / "r.json"
+    report.write_text("{}")
+    (workspace / "responses.jsonl").write_text(
+        json.dumps({"id": "d:0", "label": "A", "confidence": 1.0}) + "\n"
+    )
+    (workspace / "scores.tsv").write_text("d:0\t5\n")
+    argv = (
+        ["refine", str(report), "--external-decisions", str(workspace / "responses.jsonl")]
+        if command == "refine"
+        else ["judge", str(report), str(workspace / "scores.tsv")]
+    )
+    code = main(argv + ["--ledger", str(ledger), "--out", str(workspace / "out.json")])
+    err = _assert_parse_error(code, capsys)
+    assert "line 2: gold span [1, 3) of document 'd' has labels 'A' and 'B'" in err
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,6 @@ def test_package_root_loads_no_submodule():
 PER_RECORD_CLASSES = [
     ("corpus", "EntityMention"),
     ("matcher", "MatchRecord"),
-    ("perturb", "ExpectedEntry"),
     ("classifier", "Decision"),
     ("judgement", "JudgementRecord"),
     ("clsdata", "LabeledText"),

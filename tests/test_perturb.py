@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,13 +16,8 @@ from entmatch.corpus import (
     pair_corpora,
     serialize_standoff,
 )
-from entmatch.matcher import MismatchType, classify_corpus
-from entmatch.perturb import (
-    ExpectedLedger,
-    PerturbationPlan,
-    perturb,
-    write_expected_ledger,
-)
+from entmatch.matcher import MatchReport, MismatchType, classify_corpus
+from entmatch.perturb import PerturbationPlan, perturb, write_expected_ledger
 from oracle import oracle_perturb, random_spans
 
 EXACT = MismatchType.EXACT_MATCH
@@ -48,7 +44,7 @@ def _matcher_counts(gold: Corpus, pred: Corpus):
     return {k: v for k, v in report.counts.items() if v}
 
 
-def _expected_counts(ledger: ExpectedLedger):
+def _expected_counts(ledger: MatchReport):
     return {k: v for k, v in ledger.counts.items() if v}
 
 
@@ -215,7 +211,7 @@ def test_same_plan_reproduces_the_same_output():
     pred_a, ledger_a = perturb(gold, plan)
     pred_b, ledger_b = perturb(gold, plan)
     assert pred_a == pred_b
-    assert ledger_a.entries == ledger_b.entries
+    assert ledger_a.records == ledger_b.records
 
 
 def test_different_seeds_differ():
@@ -234,12 +230,36 @@ def test_documents_perturb_independently():
     assert pred_one.documents[0] == pred_two.documents[0]
 
 
+def _record_multiset(report: MatchReport) -> Counter:
+    """The records of a report as ``(doc_id, kind, pred, gold, overlap)``
+    with each side ``(start, end, label, text)`` or None; ids and order are
+    left out."""
+
+    def side(m):
+        return m and (m.start, m.end, m.label, m.text)
+
+    return Counter(
+        (r.doc_id, r.kind, side(r.pred), side(r.gold), r.overlap_tokens)
+        for r in report.records
+    )
+
+
 def test_matcher_reproduces_expected_ledger_across_seeds():
     for seed in range(30):
         gold = gold_corpus(seed, n_docs=4)
         plan = PerturbationPlan(seed=seed * 7 + 1, **MIXED)
-        pred, ledger = perturb(gold, plan)
-        assert _matcher_counts(gold, pred) == _expected_counts(ledger), f"seed {seed}"
+        pred, expected = perturb(gold, plan)
+        report = classify_corpus(pair_corpora(gold, pred))
+        for tally in (
+            "counts",
+            "per_label_counts",
+            "gold_by_label",
+            "pred_by_label",
+            "gold_total",
+            "pred_total",
+        ):
+            assert getattr(report, tally) == getattr(expected, tally), f"seed {seed} {tally}"
+        assert _record_multiset(report) == _record_multiset(expected), f"seed {seed}"
 
 
 def test_expected_ledger_file_is_readable_jsonl(tmp_path):
@@ -248,7 +268,7 @@ def test_expected_ledger_file_is_readable_jsonl(tmp_path):
     path = tmp_path / "expected.jsonl"
     write_expected_ledger(ledger, path)
     rows = [json.loads(line) for line in path.read_text().splitlines()]
-    assert len(rows) == len(ledger.entries)
+    assert len(rows) == len(ledger.records)
     valid_kinds = {k.value for k in MismatchType}
     assert all(row["kind"] in valid_kinds for row in rows)
     # relabelled entries carry both labels
@@ -309,8 +329,15 @@ def test_perturb_matches_the_linear_scan_oracle(gold, plan):
     oracle_pred, oracle_entries = oracle_perturb(gold, plan)
     assert serialize_standoff(pred) == serialize_standoff(oracle_pred)
     entries = [
-        (e.doc_id, e.kind, e.gold_span, e.pred_span, e.gold_label, e.pred_label)
-        for e in ledger.entries
+        (
+            r.doc_id,
+            r.kind,
+            r.gold and r.gold.span,
+            r.pred and r.pred.span,
+            r.gold and r.gold.label,
+            r.pred and r.pred.label,
+        )
+        for r in ledger.records
     ]
     assert entries == oracle_entries
 
