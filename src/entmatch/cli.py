@@ -395,6 +395,13 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     doc, report = _load_report(args.report, args.ledger)
     if args.model:
         model = ClassifierModel.load(args.model)
+        # a model that knows none of the Type-5 labels rejects every record
+        type5_labels = {r.pred.label for r in report.type5_records()}  # type: ignore[union-attr]
+        if type5_labels and type5_labels.isdisjoint(model.labels):
+            raise ParseError(
+                f"model labels {list(model.labels)} include none of the report's "
+                f"Type-5 labels {sorted(type5_labels)}"
+            )
         decisions = decide_type5(model, report)
         source = f"model:{args.model}"
     else:

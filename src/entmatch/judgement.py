@@ -9,7 +9,6 @@ relaxed, all-1 equals exact) hold bit for bit.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -177,6 +176,8 @@ def agreement(
     with none at all, as for a report without Type-5 records, every rate
     is 0.
     """
+    import statistics  # only here: it loads ``fractions`` and ``decimal``
+
     scores = {r.record_id: r.score for r in records}
     shared = sorted(set(scores) & set(decisions))
     if not shared and (scores or decisions):

@@ -14,7 +14,8 @@ priority order:
 5. leftover predictions            -> Type 1; untouched golds -> Type 2
 
 Overlap is measured in whole tokens, minimum one. Within one document,
-consumed golds (stages 1-2) remain eligible anchors for stages 3-4.
+consumed golds (stages 1-2) remain eligible anchors for stages 3-4, though
+flat predictions leave no other prediction overlapping one.
 """
 
 from __future__ import annotations
@@ -52,10 +53,8 @@ class MismatchType(Enum):
     __hash__ = object.__hash__
 
 
-ERROR_TYPES: tuple[MismatchType, ...] = tuple(
-    k for k in MismatchType if k is not MismatchType.EXACT_MATCH
-)
-_TYPE5 = MismatchType.TYPE5_RIGHT_LABEL_OVERLAP
+_EXACT, _TYPE1, _TYPE2, _TYPE3, _TYPE4, _TYPE5 = MismatchType  # definition order
+ERROR_TYPES: tuple[MismatchType, ...] = tuple(k for k in MismatchType if k is not _EXACT)
 
 # (doc_id, start, end): unique per gold mention because gold spans are flat.
 GoldKey = tuple[str, int, int]
@@ -92,9 +91,12 @@ def classify_document(
 ) -> list[MatchRecord]:
     """Classify one document's predictions against its gold mentions.
 
-    Returns records sorted by prediction start, then gold start (records
-    without a prediction sort last), with ids ``<doc_id>:<ordinal>``. The
-    mentions may come in any order; overlapping ones on one side raise
+    Returns one record per prediction in start order, then the Type-2
+    records in gold start order, with ids ``<doc_id>:<ordinal>``. That is
+    the records sorted by prediction span, then gold span (records without
+    a prediction last), and no sort is needed: each side is flat and sorted
+    by start, and every prediction lands in exactly one record. The mentions
+    may come in any order; overlapping ones on one side raise
     ``ParseError``.
     """
     doc_ids = {m.doc_id for m in [*gold, *pred]}
@@ -113,79 +115,55 @@ def classify_document(
 def _classify(
     doc_id: str, golds: Sequence[EntityMention], preds: Sequence[EntityMention]
 ) -> list[MatchRecord]:
-    """``classify_document`` on sides that are each sorted by start and flat."""
-    staged: list[tuple[MismatchType, EntityMention | None, EntityMention | None]] = []
-    consumed_gold: set[tuple[int, int]] = set()
-    covered_gold: set[tuple[int, int]] = set()
+    """``classify_document`` on sides that are each sorted by start and flat.
 
-    # Stages 1-2: span-identical pairing is unique within flat lists, so a
-    # single pass settles both stages without interference.
+    One pass over the predictions emits each record in its final order, so
+    nothing is staged or sorted. Span-identical pairing (stages 1-2) is
+    unique within flat sides, and anchor choice (stages 3-4) never consumes
+    a gold, so settling each prediction on its own equals running the
+    stages one after another.
+    """
     gold_by_span = {(g.start, g.end): g for g in golds}
-    residual: list[EntityMention] = []
-    for p in preds:
-        g = gold_by_span.get((p.start, p.end))
-        if g is None:
-            residual.append(p)
-            continue
-        consumed_gold.add(g.span)
-        if g.label == p.label:
-            staged.append((MismatchType.EXACT_MATCH, p, g))
-        else:
-            staged.append((MismatchType.TYPE3_WRONG_LABEL_RIGHT_SPAN, p, g))
-
-    # Stages 3-4: anchor choice never consumes golds, so per-prediction
-    # evaluation is order-independent and equivalent to running stage 3 to
-    # completion before stage 4.
     starts = [g.start for g in golds]
-    for p in residual:
-        best_same: tuple[tuple[int, int, int], EntityMention] | None = None
-        best_diff: tuple[tuple[int, int, int], EntityMention] | None = None
-        j = bisect_left(starts, p.end) - 1
-        while j >= 0 and golds[j].end > p.start:
-            g = golds[j]
-            rank = (token_overlap(p, g), -g.start, g.end - g.start)
-            if g.label == p.label:
-                if best_same is None or rank > best_same[0]:
-                    best_same = (rank, g)
-            elif best_diff is None or rank > best_diff[0]:
-                best_diff = (rank, g)
-            j -= 1
-        if best_same is not None:
-            anchor = best_same[1]
-            staged.append((MismatchType.TYPE5_RIGHT_LABEL_OVERLAP, p, anchor))
-            covered_gold.add(anchor.span)
-        elif best_diff is not None:
-            anchor = best_diff[1]
-            staged.append((MismatchType.TYPE4_WRONG_LABEL_OVERLAP, p, anchor))
-            covered_gold.add(anchor.span)
+    anchored: set[int] = set()  # starts of the golds a prediction's record holds
+    records = []
+    for i, p in enumerate(preds):
+        start, end, label = p.start, p.end, p.label
+        g = gold_by_span.get((start, end))
+        if g is not None:
+            kind = _EXACT if g.label == label else _TYPE3
+            overlap = end - start
         else:
-            staged.append((MismatchType.TYPE1_FALSE_POSITIVE, p, None))
-
-    # Stage 5 remainder: golds never consumed, paired, or covered.
+            # the golds that overlap p, right to left; rank: token overlap,
+            # then leftmost start, then longest gold
+            best_same = best_diff = None
+            j = bisect_left(starts, end) - 1
+            while j >= 0 and golds[j].end > start:
+                g = golds[j]
+                rank = (min(end, g.end) - max(start, g.start), -g.start, g.end - g.start)
+                if g.label == label:
+                    if best_same is None or rank > best_same[0]:
+                        best_same = (rank, g)
+                elif best_diff is None or rank > best_diff[0]:
+                    best_diff = (rank, g)
+                j -= 1
+            if best_same is not None:
+                kind = _TYPE5
+                (overlap, _, _), g = best_same
+            elif best_diff is not None:
+                kind = _TYPE4
+                (overlap, _, _), g = best_diff
+            else:
+                kind, g, overlap = _TYPE1, None, 0
+        if g is not None:
+            anchored.add(g.start)
+        records.append(MatchRecord(f"{doc_id}:{i}", doc_id, kind, p, g, overlap))
+    i = len(preds)
     for g in golds:
-        if g.span not in consumed_gold and g.span not in covered_gold:
-            staged.append((MismatchType.TYPE2_FALSE_NEGATIVE, None, g))
-
-    big = 1 << 62
-    staged.sort(
-        key=lambda e: (
-            e[1].start if e[1] else big,
-            e[1].end if e[1] else big,
-            e[2].start if e[2] else big,
-            e[2].end if e[2] else big,
-        )
-    )
-    return [
-        MatchRecord(
-            f"{doc_id}:{i}",
-            doc_id,
-            kind,
-            p,
-            g,
-            token_overlap(p, g) if p and g else 0,
-        )
-        for i, (kind, p, g) in enumerate(staged)
-    ]
+        if g.start not in anchored:
+            records.append(MatchRecord(f"{doc_id}:{i}", doc_id, _TYPE2, None, g, 0))
+            i += 1
+    return records
 
 
 @dataclass
@@ -221,22 +199,24 @@ class MatchReport:
     def from_records(cls, records: Iterable[MatchRecord]) -> "MatchReport":
         recs = list(records)
         # records by (prediction label or None, gold label or None, kind)
-        tally: Counter[tuple[str | None, str | None, MismatchType]] = Counter()
+        tally: dict[tuple[str | None, str | None, MismatchType], int] = {}
         gold_labels: dict[GoldKey, str] = {}
         gold_masks: dict[GoldKey, int] = {}
-        bits = _KIND_BITS
+        tally_get, mask_get, bits = tally.get, gold_masks.get, _KIND_BITS
         type5 = []
         for r in recs:
             kind, pred, gold = r.kind, r.pred, r.gold
             if gold is None:
-                tally[pred.label, None, kind] += 1  # type: ignore[union-attr]
+                key = (pred.label, None, kind)  # type: ignore[union-attr]
             else:
-                tally[pred and pred.label, gold.label, kind] += 1
-                key = (r.doc_id, gold.start, gold.end)
-                gold_labels[key] = gold.label
-                gold_masks[key] = gold_masks.get(key, 0) | bits[kind]
-            if kind is _TYPE5:
-                type5.append(r)
+                label = gold.label
+                key = (pred and pred.label, label, kind)
+                gold_key = (r.doc_id, gold.start, gold.end)
+                gold_labels[gold_key] = label
+                gold_masks[gold_key] = mask_get(gold_key, 0) | bits[kind]
+                if kind is _TYPE5:
+                    type5.append(r)
+            tally[key] = tally_get(key, 0) + 1
         counts = dict.fromkeys(MismatchType, 0)
         per_label: dict[str, dict[MismatchType, int]] = {}
         pred_kind_counts: Counter[tuple[str, MismatchType]] = Counter()
@@ -251,7 +231,10 @@ class MatchReport:
         pred_by_label: Counter[str] = Counter()
         for (label, _), n in pred_kind_counts.items():
             pred_by_label[label] += n
-        gold_by_label = Counter(gold_labels.values())
+        gold_mask_counts = Counter(zip(gold_labels.values(), gold_masks.values()))
+        gold_by_label: Counter[str] = Counter()
+        for (label, _), n in gold_mask_counts.items():
+            gold_by_label[label] += n
         return cls(
             recs,
             counts,
@@ -262,7 +245,7 @@ class MatchReport:
             dict(sorted(pred_by_label.items())),
             dict(pred_kind_counts),
             gold_masks,
-            dict(Counter(zip(gold_labels.values(), gold_masks.values()))),
+            dict(gold_mask_counts),
             type5,
         )
 
@@ -319,6 +302,7 @@ def _mention_from_obj(
 
 
 _KINDS = {k.value: k for k in MismatchType}
+_KIND_VALUES = {k: k.value for k in MismatchType}  # Enum.value is a Python property
 
 _SIDES_BY_KIND = {
     MismatchType.EXACT_MATCH: (True, True),
@@ -341,7 +325,7 @@ def write_ledger(report: MatchReport, path: str | Path) -> None:
         fh.writelines(
             f'{{"record_id": {encode_basestring(r.record_id)}, '
             f'"doc_id": {encode_basestring(r.doc_id)}, '
-            f'"kind": "{r.kind.value}", '
+            f'"kind": "{_KIND_VALUES[r.kind]}", '
             f'"pred": {_mention_json(r.pred)}, '
             f'"gold": {_mention_json(r.gold)}, '
             f'"overlap_tokens": {r.overlap_tokens}}}\n'

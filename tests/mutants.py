@@ -1,0 +1,287 @@
+"""Mutation check: every mutant of the matcher's spine must fail its tests.
+
+    python3 tests/mutants.py            # run every mutant
+    python3 tests/mutants.py NAME ...   # run the named mutants only
+    python3 tests/mutants.py --list     # print the table
+
+Each row of ``MUTANTS`` holds a source snippet that must occur exactly once
+in ``src/``, its replacement, and the test node ids that must each fail on
+the mutant. For each row the script copies ``src/``, ``tests/`` and
+``pyproject.toml`` to a temporary directory, applies the one edit there and
+runs the node ids with ``pytest --hypothesis-seed=0`` in that copy, so the
+checkout is never edited. Before any mutant runs, the node ids must pass on
+the unmutated copy.
+
+A row with an ``equivalent`` reason is a mutant that no input can tell from
+the original; it must survive, and a kill means the reason is wrong.
+
+The exit status is non-zero when a mutant survives, when a listed test does
+not fail on its mutant, when an equivalent mutant is killed, or when a
+snippet no longer occurs exactly once (so the table cannot go stale
+unnoticed). The script uses the standard library only, and pytest does not
+collect it (its name does not start with ``test_``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import xml.etree.ElementTree as ET
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    snippet: str
+    replacement: str
+    killers: tuple[str, ...]
+    equivalent: str | None = None
+
+
+# the comparisons of the anchor search, as _classify writes them
+_RANK_COMPARISONS = """\
+                if g.label == label:
+                    if best_same is None or rank > best_same[0]:
+                        best_same = (rank, g)
+                elif best_diff is None or rank > best_diff[0]:
+"""
+
+
+def _compare_on(key: str) -> str:
+    """The anchor comparisons with each rank replaced by ``rank<key>``."""
+    return (
+        _RANK_COMPARISONS.replace("rank >", f"rank{key} >")
+        .replace("best_same[0]:", f"best_same[0]{key}:")
+        .replace("best_diff[0]:", f"best_diff[0]{key}:")
+    )
+
+
+MUTANTS = [
+    Mutant(
+        "type2-records-first",
+        "            i += 1\n    return records\n",
+        "            i += 1\n    return records[len(preds):] + records[: len(preds)]\n",
+        (
+            "tests/test_matcher.py::test_document_records_follow_the_order_contract",
+            "tests/test_matcher.py::test_records_sorted_by_pred_then_gold_span",
+            "tests/test_cli.py::test_pipeline_output_files_are_pinned",
+        ),
+    ),
+    Mutant(
+        "rank-without-overlap",
+        _RANK_COMPARISONS,
+        _compare_on("[1:]"),
+        (
+            "tests/test_matcher.py::test_anchor_tie_on_start_prefers_longer_gold",
+            "tests/test_matcher.py::test_matches_oracle_on_seeded_random_documents",
+            "tests/test_acceptance.py::test_criterion_01_matcher_oracle_equivalence",
+        ),
+    ),
+    Mutant(
+        "rank-without-leftmost-start",
+        _RANK_COMPARISONS,
+        _compare_on("[::2]"),
+        (
+            "tests/test_matcher.py::test_anchor_tie_breaks_leftmost_then_longest",
+            "tests/test_matcher.py::test_matches_oracle_on_seeded_random_documents",
+        ),
+    ),
+    Mutant(
+        "rank-without-gold-length",
+        _RANK_COMPARISONS,
+        _compare_on("[:2]"),
+        ("tests/test_matcher.py::test_matches_oracle_on_seeded_random_documents",),
+        equivalent=(
+            "the golds of a flat side have distinct starts, so the start "
+            "breaks every overlap tie before the length is compared"
+        ),
+    ),
+    Mutant(
+        "rank-compared-with-ge",
+        _RANK_COMPARISONS,
+        _RANK_COMPARISONS.replace("rank >", "rank >="),
+        ("tests/test_matcher.py::test_matches_oracle_on_seeded_random_documents",),
+        equivalent=(
+            "two distinct golds of a flat side never tie on (overlap, start), "
+            "so > and >= pick the same anchor"
+        ),
+    ),
+    Mutant(
+        "other-label-anchor-preferred",
+        """\
+            if best_same is not None:
+                kind = _TYPE5
+                (overlap, _, _), g = best_same
+            elif best_diff is not None:
+                kind = _TYPE4
+                (overlap, _, _), g = best_diff
+""",
+        """\
+            if best_diff is not None:
+                kind = _TYPE4
+                (overlap, _, _), g = best_diff
+            elif best_same is not None:
+                kind = _TYPE5
+                (overlap, _, _), g = best_same
+""",
+        (
+            "tests/test_matcher.py::test_same_label_anchor_preferred_over_closer_other_label",
+            "tests/test_matcher.py::test_matches_oracle_on_seeded_random_documents",
+        ),
+    ),
+    Mutant(
+        "consumed-golds-not-anchors",
+        "                g = golds[j]\n",
+        "                g = golds[j]\n"
+        "                if any((q.start, q.end) == (g.start, g.end) for q in preds):\n"
+        "                    j -= 1\n"
+        "                    continue\n",
+        (
+            "tests/test_matcher.py::test_matches_oracle_on_seeded_random_documents",
+            "tests/test_acceptance.py::test_criterion_01_matcher_oracle_equivalence",
+        ),
+        equivalent=(
+            "a consumed gold has the span of its own prediction, and the "
+            "predictions are flat, so no other prediction overlaps it"
+        ),
+    ),
+    Mutant(
+        "span-identical-overlap-zero",
+        "            overlap = end - start\n",
+        "            overlap = 0\n",
+        (
+            "tests/test_matcher.py::test_document_records_follow_the_order_contract",
+            "tests/test_cli.py::test_pipeline_output_files_are_pinned",
+        ),
+    ),
+]
+
+
+def _locate(snippet: str) -> tuple[Path | None, int]:
+    """The source file that holds ``snippet`` and the number of occurrences in src/."""
+    found, total = None, 0
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        n = path.read_text("utf-8").count(snippet)
+        if n:
+            found, total = path, total + n
+    return found, total
+
+
+def _copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _failed_tests(tree: Path, node_ids: tuple[str, ...]) -> set[str] | None:
+    """The node ids among ``node_ids`` that fail in ``tree``; None on a timeout.
+
+    A run that pytest ends for any reason but failing tests (a node id it
+    cannot find, a collection error) raises ``RuntimeError``.
+    """
+    report = tree / "junit.xml"
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONPATH", None)  # pyproject's pythonpath puts the copy's src first
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "--hypothesis-seed=0", f"--junitxml={report}", *node_ids],
+            cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return None
+    if result.returncode not in (0, 1):
+        raise RuntimeError(f"pytest exited {result.returncode}:\n{result.stdout[-2000:]}")
+    failed = set()
+    for case in ET.parse(report).iter("testcase"):
+        if case.find("failure") is None and case.find("error") is None:
+            continue
+        module = case.get("classname", "").replace(".", "/") + ".py"
+        test = case.get("name", "").split("[")[0]
+        failed.add(f"{module}::{test}")
+    report.unlink()
+    return failed
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--list", action="store_true", help="print the table and exit")
+    args = parser.parse_args(argv)
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [n for n in args.names if n not in by_name]
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(unknown)}")
+    chosen = [by_name[n] for n in args.names] or MUTANTS
+    if args.list:
+        for m in chosen:
+            mark = f"  (equivalent: {m.equivalent})" if m.equivalent else ""
+            print(f"{m.name}: {', '.join(m.killers)}{mark}")
+        return 0
+
+    problems = []
+    for m in chosen:
+        _, count = _locate(m.snippet)
+        if count != 1:
+            problems.append(f"{m.name}: snippet occurs {count} times in src/, not once")
+    if problems:
+        print("\n".join(problems))
+        return 1
+
+    with tempfile.TemporaryDirectory(prefix="entmatch-mutants-") as tmp:
+        base = Path(tmp) / "base"
+        _copy_tree(base)
+        all_killers = tuple(sorted({k for m in chosen for k in m.killers}))
+        failing = _failed_tests(base, all_killers)
+        if failing is None or failing:
+            print(f"the unmutated tree fails: {sorted(failing) if failing else 'timeout'}")
+            return 1
+        killed = 0
+        for i, m in enumerate(chosen):
+            tree = Path(tmp) / f"m{i}"
+            _copy_tree(tree)
+            path, _ = _locate(m.snippet)
+            target = tree / path.relative_to(ROOT)  # type: ignore[union-attr]
+            target.write_text(
+                target.read_text("utf-8").replace(m.snippet, m.replacement), "utf-8"
+            )
+            failed = _failed_tests(tree, m.killers)
+            shutil.rmtree(tree)
+            if failed is None:
+                failed = set(m.killers)
+                outcome = "killed (timeout)"
+            else:
+                outcome = "killed" if failed else "survived"
+            if m.equivalent:
+                if failed:
+                    problems.append(f"{m.name}: marked equivalent but killed by {sorted(failed)}")
+                outcome += " (equivalent)"
+            else:
+                missing = sorted(set(m.killers) - failed)
+                if not failed:
+                    problems.append(f"{m.name}: survived")
+                elif missing:
+                    problems.append(f"{m.name}: listed tests did not fail: {missing}")
+                killed += bool(failed)
+            print(f"{m.name}: {outcome}", flush=True)
+    expected = sum(1 for m in chosen if not m.equivalent)
+    equivalent = len(chosen) - expected
+    print(f"{killed} of {expected} mutants killed; {equivalent} marked equivalent")
+    if problems:
+        print("\n".join(problems))
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

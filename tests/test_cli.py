@@ -791,6 +791,22 @@ def test_refine_with_non_finite_model_probabilities_exits_2(workspace, capsys, v
     assert not decisions.exists()
 
 
+def test_refine_with_a_model_that_knows_no_type5_label_exits_2(workspace, capsys):
+    # the liver report's Type-5 records are labelled "problem"; a model
+    # trained on other labels could only reject them all
+    _, out = _eval(workspace)
+    model = workspace / "foreign.entcls"
+    header = json.dumps({**_MODEL_HEADER, "labels": ["X", "Y"]})
+    model.write_bytes(_model_blob(header.encode()))
+    decisions = workspace / "refined.decisions.jsonl"
+    capsys.readouterr()
+    code = main(["refine", str(out), "--model", str(model),
+                 "--out", str(workspace / "refined.json")])
+    err = _assert_parse_error(code, capsys)
+    assert "['X', 'Y']" in err and "['problem']" in err
+    assert not decisions.exists()
+
+
 @pytest.mark.parametrize("command", ["refine", "judge"])
 @pytest.mark.parametrize("content", ["[1, 2]", "{not json"])
 def test_malformed_report_exits_2(workspace, capsys, command, content):

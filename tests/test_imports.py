@@ -1,6 +1,7 @@
 """Every module of the package uses every name it imports; none loads numpy;
-the package root loads no submodule; the per-record value classes are
-slotted and not frozen; one function raises ``UncoveredRecordsError``.
+the package root loads no submodule; ``import entmatch.cli`` loads no
+``statistics``; the per-record value classes are slotted and not frozen;
+one function raises ``UncoveredRecordsError``.
 
 Each ``src/entmatch`` module is parsed with ``ast``. A name counts as used
 when it is read anywhere in the module, annotations included, also inside
@@ -128,6 +129,26 @@ def test_package_root_loads_no_submodule():
     submodules, public = result.stdout.splitlines()
     assert submodules == "[]", f"import entmatch loaded {submodules}"
     assert public == "[]", f"import entmatch binds {public}"
+
+
+_CLI_CHILD = (
+    "import sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "import entmatch.cli\n"
+    "print(sorted(m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules))\n"
+)
+
+
+def test_cli_import_leaves_statistics_unloaded():
+    # statistics (and the fractions and decimal it loads) is imported by
+    # the one function that uses it, so commands without it skip the cost
+    package_parent = str(Path(entmatch.__file__).parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", _CLI_CHILD, package_parent],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]", f"import entmatch.cli loaded {result.stdout}"
 
 
 PER_RECORD_CLASSES = [

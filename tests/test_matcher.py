@@ -321,6 +321,43 @@ def test_records_sorted_by_pred_then_gold_span():
         assert rows == sorted(rows, key=key)
 
 
+def _assert_record_order(doc_id, gold, pred, records):
+    """The order contract: one record per prediction, in prediction order,
+    then the Type-2 records in gold order; ids number that order."""
+    head, tail = records[: len(pred)], records[len(pred) :]
+    assert [r.pred for r in head] == list(pred)
+    anchored = [r.gold for r in head if r.gold is not None]
+    assert all(r.kind is T2 for r in tail)
+    assert [r.gold for r in tail] == [g for g in gold if g not in anchored]
+    assert [r.record_id for r in records] == [f"{doc_id}:{i}" for i in range(len(records))]
+    for r in records:
+        want = token_overlap(r.pred, r.gold) if r.pred and r.gold else 0
+        assert r.overlap_tokens == want, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(paired_documents())
+def test_document_records_follow_the_order_contract(doc):
+    records = classify_document(doc.gold_entities, doc.pred_entities)
+    _assert_record_order("d", doc.gold_entities, doc.pred_entities, records)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_docs=st.integers(0, 6))
+def test_corpus_records_follow_the_order_contract(seed, n_docs):
+    corpus = random_paired_corpus(random.Random(seed), n_docs)
+    records = classify_corpus(corpus).records
+    start = 0
+    for doc in sorted(corpus.documents, key=lambda d: d.doc_id):
+        end = start
+        while end < len(records) and records[end].doc_id == doc.doc_id:
+            end += 1
+        rows = records[start:end]
+        _assert_record_order(doc.doc_id, doc.gold_entities, doc.pred_entities, rows)
+        start = end
+    assert start == len(records)
+
+
 def test_report_documents_sorted_by_id():
     corpus = random_paired_corpus(random.Random(3), 4)
     shuffled = type(corpus)(documents=list(reversed(corpus.documents)))
