@@ -17,7 +17,15 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from random import Random
-from typing import TYPE_CHECKING, BinaryIO, Container, Mapping, Sequence
+from typing import (
+    TYPE_CHECKING,
+    BinaryIO,
+    Callable,
+    Container,
+    Iterator,
+    Mapping,
+    Sequence,
+)
 
 from .corpus import (
     ParseError,
@@ -165,16 +173,62 @@ class _Featurizer:
         return row
 
 
+# payload rows read or written at a time, so that no dense matrix is held
+_BLOCK_ROWS = 1 << 16
+# bytes of a model file read first to find its header line
+_HEAD_BYTES = 1 << 12
+
+
+def _blocks(buckets: int, n_labels: int) -> Iterator[tuple[int, int]]:
+    """The ``(lo, hi)`` row ranges of a payload's blocks; none without labels."""
+    if n_labels:
+        for lo in range(0, buckets, _BLOCK_ROWS):
+            yield lo, min(lo + _BLOCK_ROWS, buckets)
+
+
+def _nonzero_rows(block: np.ndarray) -> np.ndarray:
+    """Positions of the rows of a float64 matrix that have any bit set.
+
+    A test on bits, not values, so a ``-0.0`` or NaN row counts as set.
+    """
+    import numpy as np
+
+    bits = block.view(np.int64)
+    mask = 0
+    for column in range(bits.shape[1]):
+        mask = mask | bits[:, column]
+    return np.flatnonzero(mask)
+
+
 @dataclass
 class ClassifierModel:
-    """Linear model state plus the hyperparameters it was trained with."""
+    """Linear model state plus the hyperparameters it was trained with.
+
+    The weight matrix has one row per bucket, but feature hashing leaves
+    most rows +0.0, so the model holds only the others: ``rows`` are the
+    ascending buckets whose weights have any bit set and ``weights`` holds
+    their values. The model file stores every row.
+    """
 
     labels: tuple[str, ...]
     buckets: int
-    weights: np.ndarray  # (buckets, n_labels) float64
+    rows: np.ndarray  # (n_rows,) int64, ascending
+    weights: np.ndarray  # (n_rows, n_labels) float64
     bias: np.ndarray  # (n_labels,) float64
     config: TrainConfig
     format_version: int = 1
+
+    def gather(self, idx: np.ndarray) -> np.ndarray:
+        """The weight rows of buckets ``idx`` in that order, +0.0 where not held."""
+        import numpy as np
+
+        if not len(self.rows):
+            return np.zeros((len(idx), len(self.labels)))
+        pos = self.rows.searchsorted(idx)
+        np.minimum(pos, len(self.rows) - 1, out=pos)
+        out = self.weights.take(pos, axis=0)
+        out[self.rows.take(pos) != idx] = 0.0
+        return out
 
     def _write(self, fh: BinaryIO) -> None:
         import numpy as np
@@ -190,8 +244,15 @@ class ClassifierModel:
         }
         header_line = json.dumps(header, sort_keys=True, allow_nan=False)
         fh.write(_MAGIC + b"\n" + header_line.encode("utf-8") + b"\n")
-        # the arrays' own buffers, no copy unless the layout is not <f8 C-order
-        fh.write(np.ascontiguousarray(self.weights, dtype="<f8"))
+        # the dense payload, one zeroed block at a time with its held rows set
+        n_labels = len(self.labels)
+        block = np.zeros((min(_BLOCK_ROWS, self.buckets), n_labels), dtype="<f8")
+        for lo, hi in _blocks(self.buckets, n_labels):
+            a, b = self.rows.searchsorted((lo, hi))
+            held = self.rows[a:b] - lo
+            block[held] = self.weights[a:b]
+            fh.write(block[: hi - lo])
+            block[held] = 0.0
         fh.write(np.ascontiguousarray(self.bias, dtype="<f8"))
 
     def to_bytes(self) -> bytes:
@@ -200,21 +261,30 @@ class ClassifierModel:
         return buffer.getvalue()
 
     @classmethod
-    def from_bytes(cls, blob: bytes) -> "ClassifierModel":
-        """Rebuild a model; any defect in the file raises ``ParseError``.
+    def _read(
+        cls, size: int, read: Callable[[int, int, str], np.ndarray]
+    ) -> "ClassifierModel":
+        """Parse a model file of ``size`` bytes, any defect a ``ParseError``.
 
-        ``weights`` and ``bias`` are views of ``blob``, read-only when it is
-        ``bytes``, so the model holds no second copy of the payload.
+        ``read(offset, count, dtype)`` returns the ``count`` items of
+        ``dtype`` at byte ``offset``. The payload's length is checked
+        against the header before it is read, and it is read in blocks of
+        ``_BLOCK_ROWS`` rows, of which only the rows with a bit set are kept.
         """
         import numpy as np
 
         prefix = _MAGIC + b"\n"
-        if not blob.startswith(prefix):
+        head = read(0, min(size, _HEAD_BYTES), "u1").tobytes()
+        if not head.startswith(prefix):
             raise ParseError("not a serialized classifier model")
-        newline = blob.find(b"\n", len(prefix))
+        newline = head.find(b"\n", len(prefix))
+        while newline < 0 and len(head) < size:
+            searched = len(head)  # a long header: read as much again
+            head += read(searched, min(size - searched, searched), "u1").tobytes()
+            newline = head.find(b"\n", searched)
         if newline < 0:
             raise ParseError("model header has no terminating newline")
-        header_text = decode_utf8(blob[len(prefix):newline], "model header")
+        header_text = decode_utf8(head[len(prefix):newline], "model header")
         try:
             header = decode_json(header_text)
         except ValueError as exc:
@@ -239,21 +309,42 @@ class ClassifierModel:
             )
         except ValueError as exc:
             raise ParseError(f"invalid model header: {exc}") from None
-        buckets = config.buckets
+        buckets, n_labels = config.buckets, len(labels)
         start = newline + 1
-        payload = len(blob) - start
-        expected = (buckets * len(labels) + len(labels)) * 8
+        payload = size - start
+        expected = (buckets * n_labels + n_labels) * 8
         if payload != expected:
             raise ParseError(
                 f"model payload is {payload} bytes, expected {expected}"
             )
-        weights = np.frombuffer(
-            blob, dtype="<f8", count=buckets * len(labels), offset=start
-        ).reshape(buckets, len(labels))
-        bias = np.frombuffer(
-            blob, dtype="<f8", count=len(labels), offset=start + weights.nbytes
+        rows = [np.empty(0, dtype=np.int64)]
+        weights = [np.empty((0, n_labels))]
+        for lo, hi in _blocks(buckets, n_labels):
+            block = read(start + lo * n_labels * 8, (hi - lo) * n_labels, "<f8")
+            block = block.reshape(hi - lo, n_labels)
+            held = _nonzero_rows(block)
+            rows.append(held + lo)
+            weights.append(block[held])
+        bias = read(start + buckets * n_labels * 8, n_labels, "<f8").copy()
+        return cls(
+            labels,
+            buckets,
+            np.concatenate(rows),
+            np.concatenate(weights),
+            bias,
+            config,
+            header["format_version"],
         )
-        return cls(labels, buckets, weights, bias, config, header["format_version"])
+
+    @classmethod
+    def from_bytes(cls, blob: bytes) -> "ClassifierModel":
+        """Rebuild a model; any defect in the file raises ``ParseError``."""
+        import numpy as np
+
+        return cls._read(
+            len(blob),
+            lambda offset, count, dtype: np.frombuffer(blob, dtype, count, offset),
+        )
 
     def save(self, path: str | Path) -> None:
         with open_output(path, binary=True) as fh:
@@ -261,7 +352,16 @@ class ClassifierModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "ClassifierModel":
-        return cls.from_bytes(Path(path).read_bytes())
+        """Read a model file block by block, as ``from_bytes`` reads its bytes."""
+        import numpy as np
+
+        def read(offset: int, count: int, dtype: str) -> np.ndarray:
+            items = np.fromfile(path, dtype, count, offset=offset)
+            if len(items) != count:
+                raise ParseError(f"model file {path} changed while it was read")
+            return items
+
+        return cls._read(Path(path).stat().st_size, read)
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -294,37 +394,59 @@ def train(pairs: Sequence, config: TrainConfig = TrainConfig()) -> ClassifierMod
     lr = config.learning_rate
     # a rate too large overflows; the check after the loop reports it once
     with np.errstate(over="ignore", invalid="ignore"):
+        features: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for p in pairs:
+            if p.text not in features:
+                if not p.text.strip():
+                    raise ValueError("training pair with empty text")
+                features[p.text] = featurize(p.text)
+        del featurize  # its caches are done with once every text has arrays
+        # SGD runs on the rows the pairs touch, ascending; each distinct
+        # text's buckets become positions among them once
+        rows = np.unique(np.concatenate([idx for idx, _ in features.values()]))
+        for text, (idx, val) in features.items():
+            features[text] = (rows.searchsorted(idx), val)
         examples: list[tuple[np.ndarray, np.ndarray, np.ndarray, int]] = []
         for p in pairs:
-            if not p.text.strip():
-                raise ValueError("training pair with empty text")
-            idx, val = featurize(p.text)
+            idx, val = features[p.text]
             examples.append((idx, val, lr * val[:, None], label_index[p.label]))
-        del featurize  # its caches are done with once every text has arrays
+        del features
 
-        weights = np.zeros((config.buckets, len(labels)), dtype=np.float64)
+        weights = np.zeros((len(rows), len(labels)), dtype=np.float64)
         bias = np.zeros(len(labels), dtype=np.float64)
+        # the step writes each row back as one opaque element, a byte copy;
+        # the ufunc reductions are what .max() and .sum() call
+        row_dtype = np.dtype((np.void, weights.itemsize * len(labels)))
+        take, put = weights.take, weights.view(row_dtype).put
+        exp, top, total = np.exp, np.maximum.reduce, np.add.reduce
         rng = Random(config.seed)
         for _ in range(config.epochs):
             # shuffle's swaps depend on the generator and the length only, so
             # the visiting order is fixed by the seed and the number of pairs
             rng.shuffle(examples)
             for idx, val, step, y in examples:
-                rows = weights[idx]
-                scores = bias + val @ rows
-                probs = np.exp(scores - scores.max())
-                probs /= probs.sum()
+                w = take(idx, axis=0)
+                scores = bias + val @ w
+                probs = exp(scores - top(scores))
+                probs /= total(probs)
                 probs[y] -= 1.0
-                rows -= step * probs
-                weights[idx] = rows
+                w -= step * probs
+                put(idx, w.view(row_dtype))
                 bias -= lr * probs
-    # NaN fails both comparisons, as an infinity fails one
-    if not all(-_WEIGHT_LIMIT < a.min() <= a.max() < _WEIGHT_LIMIT for a in (weights, bias)):
+    # NaN fails both comparisons, as an infinity fails one; the rows not
+    # held are +0.0, hence the initial 0.0
+    if not all(
+        -_WEIGHT_LIMIT < a.min(initial=0.0) <= a.max(initial=0.0) < _WEIGHT_LIMIT
+        for a in (weights, bias)
+    ):
         raise ValueError(
             f"training diverged at learning rate {lr}: a weight is not finite "
             f"or beyond {_WEIGHT_LIMIT:g}"
         )
-    return ClassifierModel(tuple(labels), config.buckets, weights, bias, config)
+    held = _nonzero_rows(weights)  # a row whose steps cancelled is +0.0 again
+    return ClassifierModel(
+        tuple(labels), config.buckets, rows[held], weights[held], bias, config
+    )
 
 
 def _probabilities(
@@ -333,7 +455,7 @@ def _probabilities(
     if not text.strip():
         raise ValueError("cannot classify empty text")
     idx, val = featurize(text)
-    return _softmax(model.bias + val @ model.weights[idx])
+    return _softmax(model.bias + val @ model.gather(idx))
 
 
 def predict(model: ClassifierModel, text: str) -> Prediction:

@@ -7,15 +7,15 @@ priority order:
 1. identical span and label        -> exact match, both sides consumed
 2. identical span, different label -> Type 3, both sides consumed
 3. same-label overlap              -> Type 5, anchored to the gold with the
-   largest token overlap (ties: leftmost start, then longest gold); the
-   prediction is consumed, the anchor is marked covered but stays
-   available as an anchor for further predictions
+   largest token overlap (ties: leftmost start, which a flat side never
+   repeats); the prediction is consumed, the anchor is marked covered but
+   stays available as an anchor for further predictions
 4. different-label overlap         -> Type 4, same anchoring rule
 5. leftover predictions            -> Type 1; untouched golds -> Type 2
 
-Overlap is measured in whole tokens, minimum one. Within one document,
-consumed golds (stages 1-2) remain eligible anchors for stages 3-4, though
-flat predictions leave no other prediction overlapping one.
+Overlap is measured in whole tokens, minimum one. A gold consumed in stages
+1-2 is never an anchor in stages 3-4: it has its prediction's span, and flat
+predictions leave no other prediction overlapping it.
 """
 
 from __future__ import annotations
@@ -135,12 +135,12 @@ def _classify(
             overlap = end - start
         else:
             # the golds that overlap p, right to left; rank: token overlap,
-            # then leftmost start, then longest gold
+            # then leftmost start (distinct on a flat side)
             best_same = best_diff = None
             j = bisect_left(starts, end) - 1
             while j >= 0 and golds[j].end > start:
                 g = golds[j]
-                rank = (min(end, g.end) - max(start, g.start), -g.start, g.end - g.start)
+                rank = (min(end, g.end) - max(start, g.start), -g.start)
                 if g.label == label:
                     if best_same is None or rank > best_same[0]:
                         best_same = (rank, g)
@@ -149,10 +149,10 @@ def _classify(
                 j -= 1
             if best_same is not None:
                 kind = _TYPE5
-                (overlap, _, _), g = best_same
+                (overlap, _), g = best_same
             elif best_diff is not None:
                 kind = _TYPE4
-                (overlap, _, _), g = best_diff
+                (overlap, _), g = best_diff
             else:
                 kind, g, overlap = _TYPE1, None, 0
         if g is not None:

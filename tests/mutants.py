@@ -1,4 +1,5 @@
-"""Mutation check: every mutant of the matcher's spine must fail its tests.
+"""Mutation check: every mutant of the matcher's spine and of the classifier
+model's row storage must fail its tests.
 
     python3 tests/mutants.py            # run every mutant
     python3 tests/mutants.py NAME ...   # run the named mutants only
@@ -81,7 +82,8 @@ MUTANTS = [
         _RANK_COMPARISONS,
         _compare_on("[1:]"),
         (
-            "tests/test_matcher.py::test_anchor_tie_on_start_prefers_longer_gold",
+            "tests/test_matcher.py::test_anchor_prefers_larger_overlap",
+            "tests/test_matcher.py::test_anchor_overlap_outranks_leftmost_start",
             "tests/test_matcher.py::test_matches_oracle_on_seeded_random_documents",
             "tests/test_acceptance.py::test_criterion_01_matcher_oracle_equivalence",
         ),
@@ -89,20 +91,10 @@ MUTANTS = [
     Mutant(
         "rank-without-leftmost-start",
         _RANK_COMPARISONS,
-        _compare_on("[::2]"),
+        _compare_on("[:1]"),
         (
             "tests/test_matcher.py::test_anchor_tie_breaks_leftmost_then_longest",
             "tests/test_matcher.py::test_matches_oracle_on_seeded_random_documents",
-        ),
-    ),
-    Mutant(
-        "rank-without-gold-length",
-        _RANK_COMPARISONS,
-        _compare_on("[:2]"),
-        ("tests/test_matcher.py::test_matches_oracle_on_seeded_random_documents",),
-        equivalent=(
-            "the golds of a flat side have distinct starts, so the start "
-            "breaks every overlap tie before the length is compared"
         ),
     ),
     Mutant(
@@ -120,18 +112,18 @@ MUTANTS = [
         """\
             if best_same is not None:
                 kind = _TYPE5
-                (overlap, _, _), g = best_same
+                (overlap, _), g = best_same
             elif best_diff is not None:
                 kind = _TYPE4
-                (overlap, _, _), g = best_diff
+                (overlap, _), g = best_diff
 """,
         """\
             if best_diff is not None:
                 kind = _TYPE4
-                (overlap, _, _), g = best_diff
+                (overlap, _), g = best_diff
             elif best_same is not None:
                 kind = _TYPE5
-                (overlap, _, _), g = best_same
+                (overlap, _), g = best_same
 """,
         (
             "tests/test_matcher.py::test_same_label_anchor_preferred_over_closer_other_label",
@@ -161,6 +153,41 @@ MUTANTS = [
         (
             "tests/test_matcher.py::test_document_records_follow_the_order_contract",
             "tests/test_cli.py::test_pipeline_output_files_are_pinned",
+        ),
+    ),
+    Mutant(
+        "gather-takes-every-bucket-as-held",
+        "        out[self.rows.take(pos) != idx] = 0.0\n",
+        "",
+        (
+            "tests/test_classifier.py::test_sparse_model_matches_the_dense_payload",
+            "tests/test_classifier.py::test_confidence_is_the_top_probability",
+        ),
+    ),
+    Mutant(
+        "held-rows-by-value-not-bits",
+        """\
+    bits = block.view(np.int64)
+    mask = 0
+    for column in range(bits.shape[1]):
+        mask = mask | bits[:, column]
+""",
+        "    mask = (block != 0).any(axis=1)\n",
+        ("tests/test_classifier.py::test_sparse_model_matches_the_dense_payload",),
+    ),
+    Mutant(
+        "writer-block-drops-its-last-row",
+        "            a, b = self.rows.searchsorted((lo, hi))\n",
+        "            a, b = self.rows.searchsorted((lo, hi - 1))\n",
+        ("tests/test_classifier.py::test_sparse_model_matches_the_dense_payload",),
+    ),
+    Mutant(
+        "blocks-one-row-short",
+        "            yield lo, min(lo + _BLOCK_ROWS, buckets)\n",
+        "            yield lo, min(lo + _BLOCK_ROWS - 1, buckets)\n",
+        (
+            "tests/test_classifier.py::test_sparse_model_matches_the_dense_payload",
+            "tests/test_classifier.py::test_training_and_model_io_hold_no_dense_matrix",
         ),
     ),
 ]

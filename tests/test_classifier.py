@@ -2,13 +2,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from entmatch.classifier import (
+    _BLOCK_ROWS,
+    _HEAD_BYTES,
+    _MAGIC,
     ClassifierModel,
     _Featurizer,
     _hash64,
@@ -156,7 +163,7 @@ def test_confidence_is_the_top_probability():
     model = train(separable_pairs(60), SMALL)
     prediction = predict(model, "mnopq")
     idx, val = _Featurizer(model.buckets)("mnopq")
-    scores = model.bias + val @ model.weights[idx]
+    scores = model.bias + val @ model.gather(idx)
     probs = np.exp(scores - scores.max())
     probs /= probs.sum()
     assert prediction.confidence == pytest.approx(probs.max())
@@ -168,7 +175,8 @@ def test_prediction_ties_break_by_label_order():
     zero = ClassifierModel(
         labels=("alpha", "beta"),
         buckets=64,
-        weights=np.zeros((64, 2)),
+        rows=np.zeros(0, dtype=np.int64),
+        weights=np.zeros((0, 2)),
         bias=np.zeros(2),
         config=config,
     )
@@ -211,6 +219,153 @@ def test_truncated_payload_rejected():
     blob = model.to_bytes()
     with pytest.raises(ValueError):
         ClassifierModel.from_bytes(blob[:-16])
+
+
+def _dense_blob(weight_bits: np.ndarray, bias_bits: np.ndarray, labels=None) -> bytes:
+    """A model file whose dense payload holds the given float64 bit patterns."""
+    buckets, n_labels = weight_bits.shape
+    header = {
+        "format_version": 1,
+        "labels": labels or [f"L{i}" for i in range(n_labels)],
+        "buckets": buckets,
+        "seed": 0,
+        "epochs": 1,
+        "learning_rate": 0.5,
+        "dtype": "<f8",
+    }
+    return (
+        _MAGIC + b"\n" + json.dumps(header, sort_keys=True).encode() + b"\n"
+        + weight_bits.astype("<i8").tobytes() + bias_bits.astype("<i8").tobytes()
+    )
+
+
+# -0.0, two NaNs, both infinities, 1.0 and the smallest subnormal, as bits
+_SPECIAL_BITS = [
+    0x8000000000000000 - (1 << 64),
+    0x7FF8000000000000,
+    0xFFF8000000000001 - (1 << 64),
+    0x7FF0000000000000,
+    0xFFF0000000000000 - (1 << 64),
+    0x3FF0000000000000,
+    1,
+]
+_BITS = st.sampled_from(_SPECIAL_BITS) | st.integers(-(1 << 63), (1 << 63) - 1)
+_BUCKET_COUNTS = [2, 3, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3]
+
+
+@st.composite
+def dense_payloads(draw):
+    """A dense model file with a few held rows, and bucket ids to gather."""
+    buckets = draw(st.sampled_from(_BUCKET_COUNTS))
+    n_labels = draw(st.integers(1, 3))
+    edges = [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, buckets - 1]
+    rows = st.sampled_from([r for r in edges if r < buckets]) | st.integers(0, buckets - 1)
+    weights = np.zeros((buckets, n_labels), dtype=np.int64)
+    for row in draw(st.lists(rows, max_size=6)):
+        weights[row] = draw(st.lists(_BITS | st.just(0), min_size=n_labels, max_size=n_labels))
+    bias = np.array(draw(st.lists(_BITS, min_size=n_labels, max_size=n_labels)))
+    idx = draw(st.lists(rows, min_size=1, max_size=12))
+    return _dense_blob(weights, bias), np.array(idx, dtype=np.int64)
+
+
+def _held_at_block_ends() -> tuple[bytes, np.ndarray]:
+    # -0.0 rows on the last row of a block and of the payload, a NaN after
+    weights = np.zeros((_BLOCK_ROWS + 2, 2), dtype=np.int64)
+    weights[_BLOCK_ROWS - 1, 1] = _SPECIAL_BITS[0]
+    weights[_BLOCK_ROWS, 0] = _SPECIAL_BITS[1]
+    weights[_BLOCK_ROWS + 1] = _SPECIAL_BITS[0]
+    idx = np.array([_BLOCK_ROWS + 1, 5, _BLOCK_ROWS - 1, _BLOCK_ROWS, 0])
+    return _dense_blob(weights, np.zeros(2, dtype=np.int64)), idx
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_payloads())
+@example(_held_at_block_ends())
+def test_sparse_model_matches_the_dense_payload(case):
+    # the dense payload itself is the oracle: the model round-trips it byte
+    # for byte and gathers its rows bit for bit
+    blob, idx = case
+    model = ClassifierModel.from_bytes(blob)
+    buckets, n_labels = model.buckets, len(model.labels)
+    start = len(blob) - (buckets + 1) * n_labels * 8
+    dense = np.frombuffer(blob, "<i8", buckets * n_labels, start).reshape(buckets, n_labels)
+    assert model.rows.tolist() == np.flatnonzero(dense.any(axis=1)).tolist()
+    assert model.gather(idx).view(np.int64).tolist() == dense[idx].tolist()
+    assert model.to_bytes() == blob
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.entcls"
+        path.write_bytes(blob)
+        loaded = ClassifierModel.load(path)
+    assert loaded.rows.tolist() == model.rows.tolist()
+    assert loaded.to_bytes() == blob
+
+
+def test_header_longer_than_the_first_read_round_trips(tmp_path):
+    labels = ["x" * _HEAD_BYTES, "y" * (3 * _HEAD_BYTES)]
+    weights = np.zeros((4, 2), dtype=np.int64)
+    weights[2] = _SPECIAL_BITS[5]
+    blob = _dense_blob(weights, np.zeros(2, dtype=np.int64), labels)
+    path = tmp_path / "model.entcls"
+    path.write_bytes(blob)
+    model = ClassifierModel.load(path)
+    assert model.labels == tuple(labels) and model.rows.tolist() == [2]
+    assert model.to_bytes() == blob
+
+
+def test_training_and_model_io_hold_no_dense_matrix(tmp_path):
+    # numpy reports its buffers to tracemalloc; one dense matrix is 24 MiB
+    config = TrainConfig(buckets=1 << 20)
+    path = tmp_path / "model.entcls"
+    tracemalloc.start()
+    try:
+        model = train(separable_pairs(60), config)
+        _, train_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        model.save(path)
+        _, save_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        loaded = ClassifierModel.load(path)
+        _, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dense = config.buckets * len(model.labels) * 8
+    assert path.stat().st_size > dense
+    assert max(train_peak, save_peak, load_peak) < dense / 4
+    assert loaded.rows.tolist() == model.rows.tolist()
+    assert loaded.weights.tobytes() == model.weights.tobytes()
+
+
+def test_model_file_that_shrinks_while_it_is_read_is_rejected(tmp_path, monkeypatch):
+    path = tmp_path / "model.entcls"
+    train(separable_pairs(30), SMALL).save(path)
+    fromfile = np.fromfile
+
+    def read_then_truncate(file, *args, **kwargs):
+        items = fromfile(file, *args, **kwargs)
+        os.truncate(file, _HEAD_BYTES // 2)  # after the header, before the payload
+        return items
+
+    monkeypatch.setattr(np, "fromfile", read_then_truncate)
+    with pytest.raises(ParseError, match="changed while it was read"):
+        ClassifierModel.load(path)
+
+
+def test_header_claiming_a_huge_payload_is_rejected_before_reading_it(tmp_path):
+    # 2**40 buckets of two labels would be 16 TiB; the file holds 80 bytes
+    header = {
+        "format_version": 1, "labels": ["a", "b"], "buckets": 1 << 40,
+        "seed": 0, "epochs": 1, "learning_rate": 0.5,
+    }
+    path = tmp_path / "model.entcls"
+    path.write_bytes(_MAGIC + b"\n" + json.dumps(header).encode() + b"\n" + bytes(80))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="model payload is 80 bytes, expected"):
+            ClassifierModel.load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

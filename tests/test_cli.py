@@ -766,6 +766,23 @@ def test_refine_with_defective_model_header_exits_2(workspace, capsys, header):
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "claim",
+    [{"labels": ["problem"] * 10**6}, {"buckets": 1 << 40}],
+    ids=["a-million-labels", "2^40-buckets"],
+)
+def test_refine_with_a_model_header_claiming_a_huge_payload_exits_2(workspace, capsys, claim):
+    # the payload's length is checked against the header before any of it
+    # is read, so no claimed matrix is allocated
+    _, out = _eval(workspace)
+    model = workspace / "huge.entcls"
+    model.write_bytes(_model_blob(json.dumps({**_MODEL_HEADER, **claim}).encode()))
+    capsys.readouterr()
+    code = main(["refine", str(out), "--model", str(model)])
+    err = _assert_parse_error(code, capsys)
+    assert "model payload is 80 bytes, expected" in err
+
+
 def test_refine_with_well_formed_model_header_runs(workspace):
     _, out = _eval(workspace)
     model = workspace / "zero.entcls"

@@ -106,13 +106,17 @@ def test_three_fragments_anchor_to_one_gold():
 
 
 def test_anchor_prefers_larger_overlap():
-    gold = mentions("d", [(0, 1, "A"), (2, 6, "A")])
-    pred = mentions("d", [(1, 5, "A")])
-    records = classify_document(gold, pred)
-    t5 = [r for r in records if r.kind is T5]
-    assert len(t5) == 1 and t5[0].gold.span == (2, 6)
-    # the skipped gold stays a complete miss
-    assert sum(r.kind is T2 for r in records) == 1
+    # the pred overlaps the left gold by 1 and the right gold by 3, so the
+    # leftmost start alone would pick the left one
+    for label, kind in (("A", T5), ("B", T4)):
+        gold = mentions("d", [(0, 2, label), (3, 7, label)])
+        pred = mentions("d", [(1, 6, "A")])
+        records = classify_document(gold, pred)
+        anchored = [r for r in records if r.kind is kind]
+        assert len(anchored) == 1
+        assert anchored[0].gold.span == (3, 7) and anchored[0].overlap_tokens == 3
+        # the skipped gold stays a complete miss
+        assert [r.gold.span for r in records if r.kind is T2] == [(0, 2)]
 
 
 def test_anchor_tie_breaks_leftmost_then_longest():
@@ -123,13 +127,12 @@ def test_anchor_tie_breaks_leftmost_then_longest():
     assert t5.gold.span == (0, 2)
 
 
-def test_anchor_tie_on_start_prefers_longer_gold():
-    # preds may not overlap each other, so probe two golds sharing a start
-    # region through one wide pred: overlap 2 with both
+def test_anchor_overlap_outranks_leftmost_start():
+    # overlaps: gold1 = 1, gold2 = 2; the larger overlap wins before the
+    # start is compared
     gold = mentions("d", [(0, 2, "A"), (3, 8, "A")])
     pred = mentions("d", [(1, 5, "A")])
     (t5,) = [r for r in classify_document(gold, pred) if r.kind is T5]
-    # overlaps: gold1 = 1, gold2 = 2; larger overlap wins before any tie logic
     assert t5.gold.span == (3, 8)
 
 
