@@ -13,14 +13,13 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 from random import Random
 from typing import (
     TYPE_CHECKING,
     BinaryIO,
-    Callable,
     Container,
     Iterator,
     Mapping,
@@ -45,6 +44,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 _MAGIC = b"ENTMATCH-CLS1"
+_FORMAT_VERSION = 1
+_DTYPE = "<f8"
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
@@ -204,19 +205,17 @@ def _nonzero_rows(block: np.ndarray) -> np.ndarray:
 class ClassifierModel:
     """Linear model state plus the hyperparameters it was trained with.
 
-    The weight matrix has one row per bucket, but feature hashing leaves
-    most rows +0.0, so the model holds only the others: ``rows`` are the
-    ascending buckets whose weights have any bit set and ``weights`` holds
-    their values. The model file stores every row.
+    The weight matrix has one row per bucket of ``config.buckets``, but
+    feature hashing leaves most rows +0.0, so the model holds only the
+    others: ``rows`` are the ascending buckets whose weights have any bit
+    set and ``weights`` holds their values. The model file stores every row.
     """
 
     labels: tuple[str, ...]
-    buckets: int
     rows: np.ndarray  # (n_rows,) int64, ascending
     weights: np.ndarray  # (n_rows, n_labels) float64
     bias: np.ndarray  # (n_labels,) float64
     config: TrainConfig
-    format_version: int = 1
 
     def gather(self, idx: np.ndarray) -> np.ndarray:
         """The weight rows of buckets ``idx`` in that order, +0.0 where not held."""
@@ -234,45 +233,50 @@ class ClassifierModel:
         import numpy as np
 
         header = {
-            "format_version": self.format_version,
+            "format_version": _FORMAT_VERSION,
             "labels": list(self.labels),
-            "buckets": self.buckets,
-            "seed": self.config.seed,
-            "epochs": self.config.epochs,
-            "learning_rate": self.config.learning_rate,
-            "dtype": "<f8",
+            "dtype": _DTYPE,
+            **asdict(self.config),
         }
         header_line = json.dumps(header, sort_keys=True, allow_nan=False)
         fh.write(_MAGIC + b"\n" + header_line.encode("utf-8") + b"\n")
         # the dense payload, one zeroed block at a time with its held rows set
-        n_labels = len(self.labels)
-        block = np.zeros((min(_BLOCK_ROWS, self.buckets), n_labels), dtype="<f8")
-        for lo, hi in _blocks(self.buckets, n_labels):
+        buckets, n_labels = self.config.buckets, len(self.labels)
+        block = np.zeros((min(_BLOCK_ROWS, buckets), n_labels), dtype=_DTYPE)
+        for lo, hi in _blocks(buckets, n_labels):
             a, b = self.rows.searchsorted((lo, hi))
             held = self.rows[a:b] - lo
             block[held] = self.weights[a:b]
             fh.write(block[: hi - lo])
             block[held] = 0.0
-        fh.write(np.ascontiguousarray(self.bias, dtype="<f8"))
+        fh.write(np.ascontiguousarray(self.bias, dtype=_DTYPE))
 
     def to_bytes(self) -> bytes:
         buffer = io.BytesIO()
         self._write(buffer)
         return buffer.getvalue()
 
-    @classmethod
-    def _read(
-        cls, size: int, read: Callable[[int, int, str], np.ndarray]
-    ) -> "ClassifierModel":
-        """Parse a model file of ``size`` bytes, any defect a ``ParseError``.
+    def save(self, path: str | Path) -> None:
+        with open_output(path, binary=True) as fh:
+            self._write(fh)
 
-        ``read(offset, count, dtype)`` returns the ``count`` items of
-        ``dtype`` at byte ``offset``. The payload's length is checked
-        against the header before it is read, and it is read in blocks of
-        ``_BLOCK_ROWS`` rows, of which only the rows with a bit set are kept.
+    @classmethod
+    def load(cls, path: str | Path) -> "ClassifierModel":
+        """Read a model file; any defect in it raises ``ParseError``.
+
+        The payload's length is checked against the header before it is
+        read, and it is read in blocks of ``_BLOCK_ROWS`` rows, of which
+        only the rows with a bit set are kept.
         """
         import numpy as np
 
+        def read(offset: int, count: int, dtype: str) -> np.ndarray:
+            items = np.fromfile(path, dtype, count, offset=offset)
+            if len(items) != count:
+                raise ParseError(f"model file {path} changed while it was read")
+            return items
+
+        size = Path(path).stat().st_size
         prefix = _MAGIC + b"\n"
         head = read(0, min(size, _HEAD_BYTES), "u1").tobytes()
         if not head.startswith(prefix):
@@ -295,6 +299,13 @@ class ClassifierModel:
             value = header.get(key)
             if not isinstance(value, kind) or isinstance(value, bool):
                 raise ParseError(f"model header field {key!r} is missing or invalid")
+        # a header without a dtype is read as holding the one dtype written
+        version, dtype = header["format_version"], header.get("dtype", _DTYPE)
+        if version != _FORMAT_VERSION or dtype != _DTYPE:
+            raise ParseError(
+                f"model format {version} with dtype {dtype!r} is not supported; "
+                f"expected {_FORMAT_VERSION} with {_DTYPE!r}"
+            )
         if not all(isinstance(label, str) for label in header["labels"]):
             raise ParseError("model header field 'labels' must hold strings")
         if has_lone_surrogate(header["labels"]):
@@ -320,48 +331,13 @@ class ClassifierModel:
         rows = [np.empty(0, dtype=np.int64)]
         weights = [np.empty((0, n_labels))]
         for lo, hi in _blocks(buckets, n_labels):
-            block = read(start + lo * n_labels * 8, (hi - lo) * n_labels, "<f8")
+            block = read(start + lo * n_labels * 8, (hi - lo) * n_labels, _DTYPE)
             block = block.reshape(hi - lo, n_labels)
             held = _nonzero_rows(block)
             rows.append(held + lo)
             weights.append(block[held])
-        bias = read(start + buckets * n_labels * 8, n_labels, "<f8").copy()
-        return cls(
-            labels,
-            buckets,
-            np.concatenate(rows),
-            np.concatenate(weights),
-            bias,
-            config,
-            header["format_version"],
-        )
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "ClassifierModel":
-        """Rebuild a model; any defect in the file raises ``ParseError``."""
-        import numpy as np
-
-        return cls._read(
-            len(blob),
-            lambda offset, count, dtype: np.frombuffer(blob, dtype, count, offset),
-        )
-
-    def save(self, path: str | Path) -> None:
-        with open_output(path, binary=True) as fh:
-            self._write(fh)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ClassifierModel":
-        """Read a model file block by block, as ``from_bytes`` reads its bytes."""
-        import numpy as np
-
-        def read(offset: int, count: int, dtype: str) -> np.ndarray:
-            items = np.fromfile(path, dtype, count, offset=offset)
-            if len(items) != count:
-                raise ParseError(f"model file {path} changed while it was read")
-            return items
-
-        return cls._read(Path(path).stat().st_size, read)
+        bias = read(start + buckets * n_labels * 8, n_labels, _DTYPE)
+        return cls(labels, np.concatenate(rows), np.concatenate(weights), bias, config)
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -444,9 +420,7 @@ def train(pairs: Sequence, config: TrainConfig = TrainConfig()) -> ClassifierMod
             f"or beyond {_WEIGHT_LIMIT:g}"
         )
     held = _nonzero_rows(weights)  # a row whose steps cancelled is +0.0 again
-    return ClassifierModel(
-        tuple(labels), config.buckets, rows[held], weights[held], bias, config
-    )
+    return ClassifierModel(tuple(labels), rows[held], weights[held], bias, config)
 
 
 def _probabilities(
@@ -460,7 +434,7 @@ def _probabilities(
 
 def predict(model: ClassifierModel, text: str) -> Prediction:
     """Score one text; ties go to the earliest label in the model's label set."""
-    probs = _probabilities(model, _Featurizer(model.buckets), text)
+    probs = _probabilities(model, _Featurizer(model.config.buckets), text)
     best = int(probs.argmax())
     return Prediction(model.labels[best], float(probs[best]))
 
@@ -475,7 +449,7 @@ def decide_type5(model: ClassifierModel, report: MatchReport) -> dict[str, Decis
     """
     import numpy as np
 
-    featurize = _Featurizer(model.buckets)
+    featurize = _Featurizer(model.config.buckets)
     decisions: dict[str, Decision] = {}
     # a model that overflows is reported once, by the check below
     with np.errstate(over="ignore", invalid="ignore"):

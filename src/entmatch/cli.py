@@ -16,6 +16,7 @@ import argparse
 import gc
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Mapping
@@ -262,6 +263,19 @@ def _render_report(doc: dict, render: str) -> str | None:
         ) from None
 
 
+def _check_outputs(args: argparse.Namespace, *others: str) -> None:
+    """Refuse, before anything is written, two outputs that are one file."""
+    paths = [args.out, *others]
+    if args.render == "markdown":
+        paths.append(str(Path(args.out).with_suffix(".md")))
+    # realpath, not Path.resolve, which raises RuntimeError on a symlink loop
+    resolved = [os.path.realpath(path) for path in paths]
+    for i, path in enumerate(resolved):
+        if path in resolved[:i]:
+            first = paths[resolved.index(path)]
+            raise ValueError(f"outputs {first} and {paths[i]} are the same file")
+
+
 def _write_report(doc: dict, out_path: str, markdown: str | None) -> None:
     """Write the JSON report and, given one, its markdown rendering."""
     _write_json(doc, out_path)
@@ -322,11 +336,12 @@ def _load_report(path: str, ledger: str | None) -> tuple[dict, MatchReport]:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    ledger_path = args.ledger or str(Path(args.out).with_suffix(".ledger.jsonl"))
+    _check_outputs(args, ledger_path)
     gold, gold_sha256 = _load_corpus(args.gold, args.format, args.scheme)
     pred, pred_sha256 = _load_corpus(args.pred, args.format, args.scheme)
     corpus = pair_corpora(gold, pred)
     report = classify_corpus(corpus)
-    ledger_path = args.ledger or str(Path(args.out).with_suffix(".ledger.jsonl"))
     write_ledger(report, ledger_path)
     suite = metric_suite(report)
     doc = {
@@ -392,6 +407,10 @@ def _cmd_train_cls(args: argparse.Namespace) -> int:
 
 
 def _cmd_refine(args: argparse.Namespace) -> int:
+    decisions_path = args.decisions_out or str(
+        Path(args.out).with_suffix(".decisions.jsonl")
+    )
+    _check_outputs(args, decisions_path)
     doc, report = _load_report(args.report, args.ledger)
     if args.model:
         model = ClassifierModel.load(args.model)
@@ -407,9 +426,6 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     else:
         decisions = load_external_decisions(report, args.external_decisions)
         source = f"external:{args.external_decisions}"
-    decisions_path = args.decisions_out or str(
-        Path(args.out).with_suffix(".decisions.jsonl")
-    )
     doc["decisions"] = _decisions_section(report, decisions, source, decisions_path)
     markdown = _render_report(doc, args.render)
     write_decisions(decisions, decisions_path)
@@ -424,13 +440,10 @@ def _cmd_refine(args: argparse.Namespace) -> int:
 
 
 def _cmd_judge(args: argparse.Namespace) -> int:
+    _check_outputs(args)
     doc, report = _load_report(args.report, args.ledger)
     judgements = load_judgements(args.judgements, report)
-    profiles = (
-        [UserProfile(args.profile)]
-        if args.profile
-        else [UserProfile.STRICT, UserProfile.FORGIVING]
-    )
+    profiles = [UserProfile(args.profile)] if args.profile else list(UserProfile)
     # coverage first: a file that covers no record exits 4, as a partial one does
     human = {p: human_f(report, judgements, p) for p in profiles}
     distribution = score_distribution(judgements)

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 from .classifier import LOW_CONFIDENCE, Decision, Verdict, check_type5_id
 from .corpus import ParseError, decode_utf8, is_int, parse_json_line
 from .matcher import MatchReport
-from .metrics import PRF, Convention, check_covered, refined_f
+from .metrics import PRF, check_covered, refined_f
 
 SCORE_MIN = 1
 SCORE_MAX = 5
@@ -31,14 +31,6 @@ class UserProfile(Enum):
     @property
     def min_accepted_score(self) -> int:
         return 3 if self is UserProfile.STRICT else PARTIAL_SCORE
-
-    @property
-    def convention(self) -> Convention:
-        return (
-            Convention.HUMAN_STRICT
-            if self is UserProfile.STRICT
-            else Convention.HUMAN_FORGIVING
-        )
 
 
 @dataclass(slots=True)
@@ -133,7 +125,7 @@ def human_f(
         for rid in check_covered(report, scores)
         if scores[rid] >= profile.min_accepted_score
     )
-    return refined_f(report, accepted, profile.convention)
+    return refined_f(report, accepted)
 
 
 def metric_error(metric: PRF, human: PRF) -> float:

@@ -31,9 +31,6 @@ class Convention(Enum):
     SEMEVAL_EXACT_BOUNDARY = "semeval_exact_boundary"
     SEMEVAL_PARTIAL_BOUNDARY = "semeval_partial_boundary"
     SEMEVAL_TYPE = "semeval_type"
-    LEARNING_BASED = "learning_based"
-    HUMAN_STRICT = "human_strict"
-    HUMAN_FORGIVING = "human_forgiving"
 
 
 class UncoveredRecordsError(ValueError):
@@ -48,7 +45,6 @@ class UncoveredRecordsError(ValueError):
 
 @dataclass(frozen=True)
 class PRF:
-    convention: Convention
     tp_pred: int
     tp_gold: int
     fp: int
@@ -58,9 +54,7 @@ class PRF:
     f1: float
 
     @classmethod
-    def from_counts(
-        cls, convention: Convention, tp_pred: int, tp_gold: int, fp: int, fn: int
-    ) -> "PRF":
+    def from_counts(cls, tp_pred: int, tp_gold: int, fp: int, fn: int) -> "PRF":
         precision = tp_pred / (tp_pred + fp) if tp_pred + fp else 0.0
         recall = tp_gold / (tp_gold + fn) if tp_gold + fn else 0.0
         f1 = (
@@ -68,46 +62,32 @@ class PRF:
             if precision + recall
             else 0.0
         )
-        return cls(convention, tp_pred, tp_gold, fp, fn, precision, recall, f1)
+        return cls(tp_pred, tp_gold, fp, fn, precision, recall, f1)
 
 
-_TYPE5 = MismatchType.TYPE5_RIGHT_LABEL_OVERLAP
-_EXACT_KINDS = frozenset({MismatchType.EXACT_MATCH})
+_EXACT, _TYPE1, _TYPE2, _TYPE3, _TYPE4, _TYPE5 = MismatchType  # definition order
+_EXACT_KINDS = frozenset({_EXACT})
+_RELAXED_KINDS = frozenset({_EXACT, _TYPE5})
 
 _CREDIT_KINDS: dict[Convention, frozenset[MismatchType]] = {
     Convention.EXACT: _EXACT_KINDS,
-    Convention.RELAXED: frozenset(
-        {MismatchType.EXACT_MATCH, MismatchType.TYPE5_RIGHT_LABEL_OVERLAP}
-    ),
+    Convention.RELAXED: _RELAXED_KINDS,
     Convention.SEMEVAL_STRICT: _EXACT_KINDS,
-    Convention.SEMEVAL_EXACT_BOUNDARY: frozenset(
-        {MismatchType.EXACT_MATCH, MismatchType.TYPE3_WRONG_LABEL_RIGHT_SPAN}
-    ),
-    Convention.SEMEVAL_PARTIAL_BOUNDARY: frozenset(
-        {
-            MismatchType.EXACT_MATCH,
-            MismatchType.TYPE3_WRONG_LABEL_RIGHT_SPAN,
-            MismatchType.TYPE4_WRONG_LABEL_OVERLAP,
-            MismatchType.TYPE5_RIGHT_LABEL_OVERLAP,
-        }
-    ),
-    Convention.SEMEVAL_TYPE: frozenset(
-        {MismatchType.EXACT_MATCH, MismatchType.TYPE5_RIGHT_LABEL_OVERLAP}
-    ),
+    Convention.SEMEVAL_EXACT_BOUNDARY: frozenset({_EXACT, _TYPE3}),
+    Convention.SEMEVAL_PARTIAL_BOUNDARY: frozenset({_EXACT, _TYPE3, _TYPE4, _TYPE5}),
+    Convention.SEMEVAL_TYPE: _RELAXED_KINDS,
 }
 
 # Label-blind conventions get no per-label breakdown.
 _OVERALL_ONLY = frozenset({Convention.SEMEVAL_PARTIAL_BOUNDARY})
 
-_Credit = tuple[Counter[str], Counter[str]]
 
-
-def _credit(
+def _scores(
     report: MatchReport,
     kinds: frozenset[MismatchType],
     accepted: frozenset[str] = frozenset(),
-) -> _Credit:
-    """Per-label ``tp_pred`` and ``tp_gold`` from the report's tallies.
+) -> tuple[PRF, dict[str, PRF]]:
+    """Overall and per-label scores from the report's tallies.
 
     A record earns credit when its kind is in ``kinds`` or it is a Type-5
     record whose id is in ``accepted``; a gold mention earns gold-side
@@ -133,17 +113,8 @@ def _credit(
                 if not report.gold_masks[key] & mask and key not in credited_golds:
                     credited_golds.add(key)
                     tp_gold[r.gold.label] += 1  # type: ignore[union-attr]
-    return tp_pred, tp_gold
-
-
-def _score(
-    report: MatchReport, convention: Convention, credit: _Credit
-) -> tuple[PRF, dict[str, PRF]]:
-    """Overall and per-label scores of a convention from its credit."""
-    tp_pred, tp_gold = credit
     per_label = {
         label: PRF.from_counts(
-            convention,
             tp_pred[label],
             tp_gold[label],
             report.pred_by_label.get(label, 0) - tp_pred[label],
@@ -154,7 +125,6 @@ def _score(
     # every mention has one label, so the overall counts are the label sums
     pred_hits, gold_hits = sum(tp_pred.values()), sum(tp_gold.values())
     overall = PRF.from_counts(
-        convention,
         pred_hits,
         gold_hits,
         report.pred_total - pred_hits,
@@ -165,13 +135,12 @@ def _score(
 
 def exact_f(report: MatchReport) -> PRF:
     """Credit only span-and-label identical pairs."""
-    return _score(report, Convention.EXACT, _credit(report, _EXACT_KINDS))[0]
+    return _scores(report, _EXACT_KINDS)[0]
 
 
 def relaxed_f(report: MatchReport) -> PRF:
     """Credit exact matches plus every Type-5 (same-label overlap) record."""
-    kinds = _CREDIT_KINDS[Convention.RELAXED]
-    return _score(report, Convention.RELAXED, _credit(report, kinds))[0]
+    return _scores(report, _RELAXED_KINDS)[0]
 
 
 def semeval_modes(report: MatchReport) -> dict[Convention, PRF]:
@@ -182,7 +151,7 @@ def semeval_modes(report: MatchReport) -> dict[Convention, PRF]:
     label and partial-boundary credits any overlapping pair.
     """
     return {
-        conv: _score(report, conv, _credit(report, _CREDIT_KINDS[conv]))[0]
+        conv: _scores(report, _CREDIT_KINDS[conv])[0]
         for conv in (
             Convention.SEMEVAL_STRICT,
             Convention.SEMEVAL_EXACT_BOUNDARY,
@@ -206,18 +175,13 @@ def check_covered(report: MatchReport, covered: Container[str]) -> list[str]:
     return ids
 
 
-def refined_f(
-    report: MatchReport,
-    accepted: frozenset[str] | set[str],
-    convention: Convention = Convention.LEARNING_BASED,
-) -> PRF:
+def refined_f(report: MatchReport, accepted: frozenset[str] | set[str]) -> PRF:
     """Score with exact matches plus only the accepted Type-5 records.
 
     Rejected Type-5 predictions count as false positives; a gold covered
     only by rejected Type-5 records counts as a false negative.
     """
-    credit = _credit(report, _EXACT_KINDS, frozenset(accepted))
-    return _score(report, convention, credit)[0]
+    return _scores(report, _EXACT_KINDS, frozenset(accepted))[0]
 
 
 def learning_based_scores(
@@ -232,8 +196,7 @@ def learning_based_scores(
         for rid in check_covered(report, decisions)
         if decisions[rid].verdict is Verdict.ACCEPT
     )
-    credit = _credit(report, _EXACT_KINDS, accepted)
-    return _score(report, Convention.LEARNING_BASED, credit)
+    return _scores(report, _EXACT_KINDS, accepted)
 
 
 def learning_based_f(
@@ -253,10 +216,7 @@ class MetricSuite:
 
 def metric_suite(report: MatchReport) -> MetricSuite:
     """The six fixed conventions; decisions are scored by ``learning_based_scores``."""
-    scores = {
-        conv: _score(report, conv, _credit(report, kinds))
-        for conv, kinds in _CREDIT_KINDS.items()
-    }
+    scores = {conv: _scores(report, kinds) for conv, kinds in _CREDIT_KINDS.items()}
     overall = {conv: score[0] for conv, score in scores.items()}
     per_label = {c: s[1] for c, s in scores.items() if c not in _OVERALL_ONLY}
     return MetricSuite(overall, per_label)

@@ -1,5 +1,5 @@
-"""Mutation check: every mutant of the matcher's spine and of the classifier
-model's row storage must fail its tests.
+"""Mutation check: every mutant of the matcher's spine, of scoring and of the
+classifier model's storage must fail its tests.
 
     python3 tests/mutants.py            # run every mutant
     python3 tests/mutants.py NAME ...   # run the named mutants only
@@ -65,6 +65,9 @@ def _compare_on(key: str) -> str:
         .replace("best_diff[0]:", f"best_diff[0]{key}:")
     )
 
+
+# the test that compares every convention with the per-record scoring oracle
+_SCORING_ORACLE = "tests/test_metrics.py::test_every_convention_matches_the_per_record_oracle"
 
 MUTANTS = [
     Mutant(
@@ -189,6 +192,131 @@ MUTANTS = [
             "tests/test_classifier.py::test_sparse_model_matches_the_dense_payload",
             "tests/test_classifier.py::test_training_and_model_io_hold_no_dense_matrix",
         ),
+    ),
+    Mutant(
+        "accepted-type5-ignores-credit-from-kinds",
+        "                if not report.gold_masks[key] & mask and key not in credited_golds:\n",
+        "                if key not in credited_golds:\n",
+        (_SCORING_ORACLE,),
+    ),
+    Mutant(
+        "accepted-type5-credits-a-gold-per-record",
+        "                if not report.gold_masks[key] & mask and key not in credited_golds:\n",
+        "                if not report.gold_masks[key] & mask:\n",
+        (
+            _SCORING_ORACLE,
+            "tests/test_metrics.py::test_sandwich_property",
+            "tests/test_judgement.py::test_all_top_scores_reproduce_relaxed",
+        ),
+    ),
+    Mutant(
+        "gold-mask-compared-with-eq",
+        "        if gold_mask & mask:\n",
+        "        if gold_mask == mask:\n",
+        (
+            _SCORING_ORACLE,
+            "tests/test_acceptance.py::test_criterion_05_semeval_mode_ordering",
+        ),
+    ),
+    Mutant(
+        "accepted-test-inverted",
+        "            if r.record_id in accepted:\n",
+        "            if r.record_id not in accepted:\n",
+        (
+            _SCORING_ORACLE,
+            "tests/test_metrics.py::test_accepted_ids_of_other_kinds_earn_no_credit",
+        ),
+    ),
+    Mutant(
+        "pred-credit-one-per-tally",
+        "            tp_pred[label] += n\n",
+        "            tp_pred[label] += 1\n",
+        (
+            _SCORING_ORACLE,
+            "tests/test_acceptance.py::test_criterion_04_liver_fixture",
+        ),
+    ),
+    Mutant(
+        "gold-mask-overwritten",
+        "                gold_masks[gold_key] = mask_get(gold_key, 0) | bits[kind]\n",
+        "                gold_masks[gold_key] = bits[kind]\n",
+        (
+            _SCORING_ORACLE,
+            "tests/test_metrics.py::test_relaxed_matches_recount_on_fuzzed_corpora",
+        ),
+    ),
+    Mutant(
+        "gold-mask-keeps-its-first-kind",
+        "                gold_masks[gold_key] = mask_get(gold_key, 0) | bits[kind]\n",
+        "                gold_masks[gold_key] = mask_get(gold_key, bits[kind])\n",
+        (
+            _SCORING_ORACLE,
+            "tests/test_metrics.py::test_relaxed_matches_recount_on_fuzzed_corpora",
+        ),
+    ),
+    Mutant(
+        "pred-tallied-under-gold-label",
+        "                pred_kind_counts[pred_label, kind] += n\n",
+        "                pred_kind_counts[label, kind] += n\n",
+        (
+            _SCORING_ORACLE,
+            "tests/test_cli.py::test_pipeline_output_files_are_pinned",
+        ),
+    ),
+    Mutant(
+        "kinds-mask-without-type3",
+        "    return sum(_KIND_BITS[kind] for kind in set(kinds))\n",
+        "    return sum(_KIND_BITS[kind] for kind in set(kinds) - {_TYPE3})\n",
+        (
+            _SCORING_ORACLE,
+            "tests/test_metrics.py::test_semeval_exact_boundary_credits_relabelled_spans",
+        ),
+    ),
+    Mutant(
+        "gold-masks-paired-with-wrong-labels",
+        "        gold_mask_counts = Counter(zip(gold_labels.values(), gold_masks.values()))\n",
+        "        gold_mask_counts = Counter(zip(sorted(gold_labels.values()), gold_masks.values()))\n",
+        (
+            _SCORING_ORACLE,
+            "tests/test_cli.py::test_pipeline_output_files_are_pinned",
+        ),
+    ),
+    Mutant(
+        "accepted-type5-without-the-kinds-guard",
+        "    if accepted and _TYPE5 not in kinds:\n",
+        "    if accepted:\n",
+        (_SCORING_ORACLE,),
+        equivalent=(
+            "every caller of _scores that passes accepted ids passes the "
+            "exact kinds, which leave Type 5 out"
+        ),
+    ),
+    Mutant(
+        "type5-list-needs-agreeing-labels",
+        "                if kind is _TYPE5:\n",
+        "                if kind is _TYPE5 and pred.label == label:\n",
+        (_SCORING_ORACLE,),
+        equivalent=(
+            "a Type-5 record's prediction carries its gold's label in every "
+            "ledger the matcher writes; read_ledger does not yet reject a "
+            "hand-written one whose labels differ, on which the mutant differs"
+        ),
+    ),
+    Mutant(
+        "model-header-format-unchecked",
+        "        if version != _FORMAT_VERSION or dtype != _DTYPE:\n",
+        "        if False:\n",
+        (
+            "tests/test_classifier.py::test_header_of_another_format_is_rejected",
+            "tests/test_cli.py::test_refine_with_defective_model_header_exits_2",
+        ),
+    ),
+    Mutant(
+        "load-keeps-a-dense-copy",
+        "        rows = [np.empty(0, dtype=np.int64)]\n",
+        "        dense = read(start, buckets * n_labels, _DTYPE)\n"
+        "        rows = [np.empty(0, dtype=np.int64)]\n",
+        ("tests/test_classifier.py::test_training_and_model_io_hold_no_dense_matrix",),
     ),
 ]
 

@@ -604,7 +604,7 @@ def oracle_credit(records, kinds, accepted=frozenset()):
     return tp_pred, tp_gold
 
 
-def oracle_scores(records, convention, kinds, accepted=frozenset()):
+def oracle_scores(records, kinds, accepted=frozenset()):
     """Overall and per-label scores of a convention, from the records alone."""
     pred_by_label = Counter(r.pred.label for r in records if r.pred is not None)
     gold_labels = {_gold_key(r): r.gold.label for r in records if r.gold is not None}
@@ -612,7 +612,6 @@ def oracle_scores(records, convention, kinds, accepted=frozenset()):
     tp_pred, tp_gold = oracle_credit(records, kinds, accepted)
     per_label = {
         label: PRF.from_counts(
-            convention,
             tp_pred[label],
             tp_gold[label],
             pred_by_label[label] - tp_pred[label],
@@ -622,7 +621,6 @@ def oracle_scores(records, convention, kinds, accepted=frozenset()):
     }
     pred_hits, gold_hits = sum(tp_pred.values()), sum(tp_gold.values())
     overall = PRF.from_counts(
-        convention,
         pred_hits,
         gold_hits,
         sum(pred_by_label.values()) - pred_hits,

@@ -17,7 +17,6 @@ from entmatch.judgement import (
 )
 from entmatch.matcher import classify_corpus
 from entmatch.metrics import (
-    Convention,
     UncoveredRecordsError,
     exact_f,
     relaxed_f,
@@ -163,8 +162,6 @@ def test_partial_score_splits_the_profiles(liver_report):
     forgiving = human_f(liver_report, judged, UserProfile.FORGIVING)
     assert strict.f1 == 0.0
     assert forgiving.f1 == 1.0
-    assert strict.convention is Convention.HUMAN_STRICT
-    assert forgiving.convention is Convention.HUMAN_FORGIVING
 
 
 @settings(max_examples=100, deadline=None)

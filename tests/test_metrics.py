@@ -64,19 +64,19 @@ def _decide_all(report: MatchReport, verdict: Verdict) -> dict[str, Decision]:
 
 
 def test_from_counts_zero_over_zero_is_zero():
-    prf = PRF.from_counts(Convention.EXACT, 0, 0, 0, 0)
+    prf = PRF.from_counts(0, 0, 0, 0)
     assert (prf.precision, prf.recall, prf.f1) == (0.0, 0.0, 0.0)
 
 
 def test_from_counts_harmonic_mean():
-    prf = PRF.from_counts(Convention.EXACT, 1, 1, 1, 3)
+    prf = PRF.from_counts(1, 1, 1, 3)
     assert prf.precision == 0.5
     assert prf.recall == 0.25
     assert prf.f1 == pytest.approx(2 * 0.5 * 0.25 / 0.75)
 
 
 def test_from_counts_perfect_score():
-    prf = PRF.from_counts(Convention.RELAXED, 4, 4, 0, 0)
+    prf = PRF.from_counts(4, 4, 0, 0)
     assert (prf.precision, prf.recall, prf.f1) == (1.0, 1.0, 1.0)
 
 
@@ -285,22 +285,6 @@ def test_per_label_counts_sum_to_overall():
             assert sum(p.fn for p in by_label.values()) == overall.fn
 
 
-def test_every_suite_entry_names_its_convention():
-    # conventions that share their credited kinds share one pass over the
-    # records; each entry must still carry its own convention
-    report = _report(2)
-    suite = metric_suite(report)
-    overall, per_label = learning_based_scores(
-        report, _decide_all(report, Verdict.ACCEPT)
-    )
-    suite.overall[Convention.LEARNING_BASED] = overall
-    suite.per_label[Convention.LEARNING_BASED] = per_label
-    for conv, prf in suite.overall.items():
-        assert prf.convention is conv
-    for conv, by_label in suite.per_label.items():
-        assert all(prf.convention is conv for prf in by_label.values())
-
-
 def test_partial_boundary_has_no_per_label_breakdown():
     suite = metric_suite(_report(1))
     assert Convention.SEMEVAL_PARTIAL_BOUNDARY in suite.overall
@@ -309,7 +293,7 @@ def test_partial_boundary_has_no_per_label_breakdown():
 
 def test_suite_includes_learning_based_only_with_decisions(liver_report):
     without = metric_suite(liver_report)
-    assert Convention.LEARNING_BASED not in without.overall
+    assert set(without.overall) == set(Convention)
     overall, _ = learning_based_scores(
         liver_report, _decide_all(liver_report, Verdict.REJECT)
     )
@@ -326,8 +310,8 @@ def test_per_label_scores_are_label_local():
 
 
 def test_macro_average_is_unweighted_mean():
-    a = PRF.from_counts(Convention.EXACT, 1, 1, 0, 0)
-    b = PRF.from_counts(Convention.EXACT, 0, 0, 1, 1)
+    a = PRF.from_counts(1, 1, 0, 0)
+    b = PRF.from_counts(0, 0, 1, 1)
     p, r, f = macro_average({"A": a, "B": b})
     assert (p, r, f) == (0.5, 0.5, 0.5)
 
@@ -388,7 +372,7 @@ def test_every_convention_matches_the_per_record_oracle(records, data):
     suite = metric_suite(report)
     assert set(suite.overall) == set(CREDIT_KINDS)
     for conv, kinds in CREDIT_KINDS.items():
-        overall, per_label = oracle_scores(records, conv, kinds)
+        overall, per_label = oracle_scores(records, kinds)
         assert suite.overall[conv] == overall
         if conv is not Convention.SEMEVAL_PARTIAL_BOUNDARY:
             assert suite.per_label[conv] == per_label
@@ -398,9 +382,8 @@ def test_every_convention_matches_the_per_record_oracle(records, data):
         conv: suite.overall[conv] for conv in semeval_modes(report)
     }
 
-    learning = Convention.LEARNING_BASED
     exact_kinds = CREDIT_KINDS[Convention.EXACT]
-    want = oracle_scores(records, learning, exact_kinds, accepted)
+    want = oracle_scores(records, exact_kinds, accepted)
     assert refined_f(report, accepted) == want[0]
     decisions = {
         rid: Decision(rid, Verdict.ACCEPT if rid in accepted else Verdict.REJECT)
@@ -418,5 +401,5 @@ def test_every_convention_matches_the_per_record_oracle(records, data):
         judged = frozenset(
             j.record_id for j in judgements if j.score >= profile.min_accepted_score
         )
-        want = oracle_scores(records, profile.convention, exact_kinds, judged)
+        want = oracle_scores(records, exact_kinds, judged)
         assert human_f(report, judgements, profile) == want[0]
