@@ -127,55 +127,105 @@ _GRAM_STATES = tuple((n, _hash64(f"c{n}|")) for n in (3, 4, 5))
 _WORD_STATE = _hash64("w|")
 
 
-class _Featurizer:
-    """Hashed features: character 3-5-grams and words of the lowercased text.
+# distinct texts hashed in one numpy pass. A pass's temporaries grow with
+# its code points, while on entity texts the passes take as long in all at
+# 16 texts a batch as at 256, so the batch is small.
+_BATCH_TEXTS = 64
 
-    Each distinct text is featurized once and each distinct gram or word
-    hashed once. The caches grow with the texts seen, so an instance lives
-    for one call of ``train``, ``predict`` or ``decide_type5`` only.
+
+def _features(
+    texts: Sequence[str], buckets: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hashed features: character 3-5-grams and words of each lowercased text.
+
+    The result is flat: text ``i`` owns ``bucket[bounds[i]:bounds[i + 1]]``
+    and the same slice of ``count``, its buckets in the order each is first
+    hit (3-grams, 4-grams and 5-grams left to right, then words) with how
+    often each is hit. The grams of a batch of texts are hashed together,
+    FNV-1a over each code point's one to four UTF-8 bytes in ``uint64``
+    lanes, which wrap as ``_hash64`` masks; words go through ``_hash64``.
     """
+    import numpy as np
 
-    def __init__(self, buckets: int):
-        self.buckets = buckets
-        self._grams: dict[str, int] = {}  # a gram's length is its n
-        self._words: dict[str, int] = {}
-        self._rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-    def counts(self, text: str) -> dict[int, float]:
-        """Bucket -> count, in the order each bucket is first hit."""
+    # a text hits at most one bucket per occurrence of a feature: per 3-,
+    # 4- and 5-gram and per word
+    size = 0
+    for text in texts:
         lowered = text.lower()
-        counts: dict[int, float] = {}
-        grams = self._grams
+        n = len(lowered)
+        size += max(n - 2, 0) + max(n - 3, 0) + max(n - 4, 0) + len(lowered.split())
+    # with at most 2**31 buckets every bucket fits int32, which halves the
+    # array and its sort
+    bucket = np.empty(size, dtype=np.int32 if buckets <= 1 << 31 else np.int64)
+    count = np.empty(size, dtype=np.float64)
+    bounds = np.zeros(len(texts) + 1, dtype=np.int64)
+    prime = np.uint64(_FNV_PRIME)
+    words: dict[str, int] = {}
+    end = 0
+    for lo in range(0, len(texts), _BATCH_TEXTS):
+        batch = [text.lower() for text in texts[lo:lo + _BATCH_TEXTS]]
+        lengths = np.fromiter(map(len, batch), dtype=np.int64, count=len(batch))
+        code = "".join(batch).encode("utf-32-le")
+        cp = np.frombuffer(code, dtype="<u4").astype(np.uint64)
+        text_of = np.repeat(np.arange(len(batch)), lengths)
+        # code points from each one to the end of its text, itself included
+        left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(cp))
+        # a code point's UTF-8 bytes: a lead byte, then continuation byte j
+        # for each j below its width
+        width = 1 + (cp >= 0x80) + (cp >= 0x800) + (cp >= 0x10000)
+        tail = 6 * (width - 1)  # the bits that the continuation bytes carry
+        marks = np.array((0, 0, 0xC0, 0xE0, 0xF0), dtype=np.uint64)
+        lead = cp >> tail.astype(np.uint64) | marks[width]
+        follow = [
+            (j < width, cp >> (tail - 6 * j).clip(0).astype(np.uint64) & 0x3F | 0x80)
+            for j in range(1, int(width.max(initial=1)))
+        ]
+        hit_buckets, hit_texts = [], []
         for n, state in _GRAM_STATES:
-            for i in range(len(lowered) - n + 1):
-                gram = lowered[i:i + n]
-                bucket = grams.get(gram)
-                if bucket is None:
-                    bucket = grams[gram] = _hash64(gram, state) % self.buckets
-                counts[bucket] = counts.get(bucket, 0.0) + 1.0
-        words = self._words
-        for word in lowered.split():
-            bucket = words.get(word)
-            if bucket is None:
-                bucket = words[word] = _hash64(word, _WORD_STATE) % self.buckets
-            counts[bucket] = counts.get(bucket, 0.0) + 1.0
-        return counts
-
-    def __call__(self, text: str) -> tuple[np.ndarray, np.ndarray]:
-        """The text's bucket indices and counts as arrays, shared per text."""
-        row = self._rows.get(text)
-        if row is None:
-            import numpy as np
-
-            feats = self.counts(text)
-            idx = np.fromiter(feats.keys(), dtype=np.int64, count=len(feats))
-            val = np.fromiter(feats.values(), dtype=np.float64, count=len(feats))
-            row = self._rows[text] = (idx, val)
-        return row
+            # the hash of the n code points from each position, also of
+            # those that run into the next text, which are then left out
+            m = max(len(cp) - n + 1, 0)
+            h = np.full(m, state, dtype=np.uint64)
+            for k in range(n):
+                h ^= lead[k:k + m]
+                h *= prime
+                for present, byte in follow:
+                    np.copyto(h, (h ^ byte[k:k + m]) * prime, where=present[k:k + m])
+            starts = np.flatnonzero(left >= n)
+            hit_buckets.append((h[starts] % np.uint64(buckets)).astype(np.int64))
+            hit_texts.append(text_of[starts])
+        word_buckets, word_texts = [], []
+        for i, s in enumerate(batch):
+            for word in s.split():
+                b = words.get(word)
+                if b is None:
+                    b = words[word] = _hash64(word, _WORD_STATE) % buckets
+                word_buckets.append(b)
+                word_texts.append(i)
+        hit_buckets.append(np.array(word_buckets, dtype=np.int64))
+        hit_texts.append(np.array(word_texts, dtype=np.int64))
+        hits, hit_text = np.concatenate(hit_buckets), np.concatenate(hit_texts)
+        # sorted by text, then bucket: a text's hits are in order and the
+        # sort is stable, so each run of one bucket starts at its first hit
+        order = np.lexsort((hits, hit_text))
+        hits, hit_text = hits[order], hit_text[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (hits[1:] != hits[:-1]) | (hit_text[1:] != hit_text[:-1])
+        runs = np.flatnonzero(new)
+        counts = np.diff(runs, append=len(order))
+        by_first = np.lexsort((order[runs], hit_text[runs]))
+        runs, counts = runs[by_first], counts[by_first]
+        stop = end + len(runs)
+        bucket[end:stop] = hits[runs]
+        count[end:stop] = counts
+        per_text = np.bincount(hit_text[runs], minlength=len(batch))
+        bounds[lo + 1:lo + len(batch) + 1] = end + np.cumsum(per_text)
+        end = stop
+    return bucket[:end], count[:end], bounds
 
 
 # payload rows read or written at a time, so that no dense matrix is held
-_BLOCK_ROWS = 1 << 16
+_BLOCK_ROWS = 1 << 13
 # bytes of a model file read first to find its header line
 _HEAD_BYTES = 1 << 12
 
@@ -209,6 +259,13 @@ class ClassifierModel:
     feature hashing leaves most rows +0.0, so the model holds only the
     others: ``rows`` are the ascending buckets whose weights have any bit
     set and ``weights`` holds their values. The model file stores every row.
+
+    Training and decisions reproduce byte for byte only on the same OpenBLAS
+    kernel and numpy SIMD level: ``val @ w`` is a BLAS ``gemv``, whose
+    summation order depends on the kernel OpenBLAS picks for the CPU, and
+    ``np.exp`` has SIMD loops that differ from libm in the last bit. Under
+    ``OPENBLAS_CORETYPE=Sandybridge``, for one, the trained bytes differ from
+    those of the default kernel on an AVX-512 machine.
     """
 
     labels: tuple[str, ...]
@@ -366,49 +423,53 @@ def train(pairs: Sequence, config: TrainConfig = TrainConfig()) -> ClassifierMod
         raise ValueError(f"need at least 2 distinct labels, got {labels}")
     label_index = {lab: i for i, lab in enumerate(labels)}
 
-    featurize = _Featurizer(config.buckets)
+    # each distinct text is featurized once, in the order it first occurs
+    texts: dict[str, int] = {}
+    for p in pairs:
+        texts.setdefault(p.text, len(texts))
+    if any(not text.strip() for text in texts):
+        raise ValueError("training pair with empty text")
+    bucket, count, bounds = _features(list(texts), config.buckets)
+    # SGD runs on the rows the pairs touch, ascending, so each bucket
+    # becomes a position among them; a pair is its text's slice and label
+    rows = np.unique(bucket).astype(np.int64)
+    pos = np.empty(len(bucket), dtype=np.int32)
+    for lo in range(0, len(bucket), _BLOCK_ROWS):
+        pos[lo:lo + _BLOCK_ROWS] = rows.searchsorted(bucket[lo:lo + _BLOCK_ROWS])
+    del bucket
+    ends = bounds.tolist()
+    examples: list[tuple[int, int, int]] = []
+    for p in pairs:
+        i = texts[p.text]
+        examples.append((ends[i], ends[i + 1], label_index[p.label]))
+    del texts, ends, bounds
+
     lr = config.learning_rate
+    weights = np.zeros((len(rows), len(labels)), dtype=np.float64)
+    bias = np.zeros(len(labels), dtype=np.float64)
+    # the step writes each row back as one opaque element, a byte copy;
+    # the ufunc reductions are what .max() and .sum() call
+    row_dtype = np.dtype((np.void, weights.itemsize * len(labels)))
+    take, put = weights.take, weights.view(row_dtype).put
+    exp, top, total = np.exp, np.maximum.reduce, np.add.reduce
+    rng = Random(config.seed)
     # a rate too large overflows; the check after the loop reports it once
     with np.errstate(over="ignore", invalid="ignore"):
-        features: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for p in pairs:
-            if p.text not in features:
-                if not p.text.strip():
-                    raise ValueError("training pair with empty text")
-                features[p.text] = featurize(p.text)
-        del featurize  # its caches are done with once every text has arrays
-        # SGD runs on the rows the pairs touch, ascending; each distinct
-        # text's buckets become positions among them once
-        rows = np.unique(np.concatenate([idx for idx, _ in features.values()]))
-        for text, (idx, val) in features.items():
-            features[text] = (rows.searchsorted(idx), val)
-        examples: list[tuple[np.ndarray, np.ndarray, np.ndarray, int]] = []
-        for p in pairs:
-            idx, val = features[p.text]
-            examples.append((idx, val, lr * val[:, None], label_index[p.label]))
-        del features
-
-        weights = np.zeros((len(rows), len(labels)), dtype=np.float64)
-        bias = np.zeros(len(labels), dtype=np.float64)
-        # the step writes each row back as one opaque element, a byte copy;
-        # the ufunc reductions are what .max() and .sum() call
-        row_dtype = np.dtype((np.void, weights.itemsize * len(labels)))
-        take, put = weights.take, weights.view(row_dtype).put
-        exp, top, total = np.exp, np.maximum.reduce, np.add.reduce
-        rng = Random(config.seed)
         for _ in range(config.epochs):
             # shuffle's swaps depend on the generator and the length only, so
             # the visiting order is fixed by the seed and the number of pairs
             rng.shuffle(examples)
-            for idx, val, step, y in examples:
+            for start, stop, y in examples:
+                idx, val = pos[start:stop], count[start:stop]
                 w = take(idx, axis=0)
                 scores = bias + val @ w
                 probs = exp(scores - top(scores))
                 probs /= total(probs)
                 probs[y] -= 1.0
-                w -= step * probs
+                w -= lr * val[:, None] * probs
                 put(idx, w.view(row_dtype))
                 bias -= lr * probs
+    del examples, pos, count  # freed before the checks below allocate
     # NaN fails both comparisons, as an infinity fails one; the rows not
     # held are +0.0, hence the initial 0.0
     if not all(
@@ -420,21 +481,17 @@ def train(pairs: Sequence, config: TrainConfig = TrainConfig()) -> ClassifierMod
             f"or beyond {_WEIGHT_LIMIT:g}"
         )
     held = _nonzero_rows(weights)  # a row whose steps cancelled is +0.0 again
-    return ClassifierModel(tuple(labels), rows[held], weights[held], bias, config)
-
-
-def _probabilities(
-    model: ClassifierModel, featurize: _Featurizer, text: str
-) -> np.ndarray:
-    if not text.strip():
-        raise ValueError("cannot classify empty text")
-    idx, val = featurize(text)
-    return _softmax(model.bias + val @ model.gather(idx))
+    if len(held) < len(rows):
+        rows, weights = rows[held], weights[held]
+    return ClassifierModel(tuple(labels), rows, weights, bias, config)
 
 
 def predict(model: ClassifierModel, text: str) -> Prediction:
     """Score one text; ties go to the earliest label in the model's label set."""
-    probs = _probabilities(model, _Featurizer(model.config.buckets), text)
+    if not text.strip():
+        raise ValueError("cannot classify empty text")
+    bucket, count, _ = _features([text], model.config.buckets)
+    probs = _softmax(model.bias + count @ model.gather(bucket))
     best = int(probs.argmax())
     return Prediction(model.labels[best], float(probs[best]))
 
@@ -449,13 +506,23 @@ def decide_type5(model: ClassifierModel, report: MatchReport) -> dict[str, Decis
     """
     import numpy as np
 
-    featurize = _Featurizer(model.config.buckets)
+    records = report.type5_records()
+    texts: dict[str, int] = {}
+    for record in records:
+        assert record.pred is not None
+        texts.setdefault(record.pred.text, len(texts))
+    bucket, count, bounds = _features(list(texts), model.config.buckets)
+    ends = bounds.tolist()
     decisions: dict[str, Decision] = {}
     # a model that overflows is reported once, by the check below
     with np.errstate(over="ignore", invalid="ignore"):
-        for record in report.type5_records():
+        for record in records:
             assert record.pred is not None
-            probs = _probabilities(model, featurize, record.pred.text)
+            if not record.pred.text.strip():
+                raise ValueError("cannot classify empty text")
+            i = texts[record.pred.text]
+            span = slice(ends[i], ends[i + 1])
+            probs = _softmax(model.bias + count[span] @ model.gather(bucket[span]))
             best = int(probs.argmax())  # the first NaN, if there is one
             confidence = float(probs[best])
             if not math.isfinite(confidence):

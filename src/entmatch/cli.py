@@ -19,7 +19,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from . import __version__
 from .classifier import (
@@ -263,17 +263,34 @@ def _render_report(doc: dict, render: str) -> str | None:
         ) from None
 
 
-def _check_outputs(args: argparse.Namespace, *others: str) -> None:
-    """Refuse, before anything is written, two outputs that are one file."""
+def _report_outputs(args: argparse.Namespace, *others: str) -> list[str]:
+    """The report, the other outputs given and, with ``--render``, its markdown."""
     paths = [args.out, *others]
     if args.render == "markdown":
         paths.append(str(Path(args.out).with_suffix(".md")))
+    return paths
+
+
+def _check_outputs(
+    outputs: Sequence[str | Path], inputs: Sequence[str | None]
+) -> None:
+    """Refuse two outputs that are one file, or an output that is an input.
+
+    Commands call it before they read or write anything, so that no output
+    replaces a file the command still has to read; ``_load_report`` calls it
+    again for the ledger a report names, before reading that ledger.
+    """
     # realpath, not Path.resolve, which raises RuntimeError on a symlink loop
-    resolved = [os.path.realpath(path) for path in paths]
+    resolved = [os.path.realpath(path) for path in outputs]
     for i, path in enumerate(resolved):
         if path in resolved[:i]:
-            first = paths[resolved.index(path)]
-            raise ValueError(f"outputs {first} and {paths[i]} are the same file")
+            first = outputs[resolved.index(path)]
+            raise ValueError(f"outputs {first} and {outputs[i]} are the same file")
+    for path in filter(None, inputs):
+        real = os.path.realpath(path)
+        if real in resolved:
+            output = outputs[resolved.index(real)]
+            raise ValueError(f"output {output} and input {path} are the same file")
 
 
 def _write_report(doc: dict, out_path: str, markdown: str | None) -> None:
@@ -297,13 +314,16 @@ def _load_corpus(path: str, fmt: str, scheme: str) -> tuple[Corpus, str]:
     return corpus, hashlib.sha256(data).hexdigest()
 
 
-def _load_report(path: str, ledger: str | None) -> tuple[dict, MatchReport]:
+def _load_report(
+    path: str, ledger: str | None, outputs: Sequence[str | Path]
+) -> tuple[dict, MatchReport]:
     """A run report and the match report of its ledger (or of ``ledger``).
 
     A ledger path stored in the report is tried as it is, then relative to
-    the report's directory, since ``eval`` stores it as it was given. A
-    report that holds a number that is not finite (``NaN``, ``1e999``)
-    raises ``ParseError``.
+    the report's directory, since ``eval`` stores it as it was given; the
+    one found must not be one of the command's ``outputs``. A report that
+    holds a number that is not finite (``NaN``, ``1e999``) raises
+    ``ParseError``.
     """
     text = decode_utf8(Path(path).read_bytes(), "report")
     try:
@@ -320,13 +340,14 @@ def _load_report(path: str, ledger: str | None) -> tuple[dict, MatchReport]:
         raise ParseError("report holds a lone UTF-16 surrogate")
     if ledger:
         return doc, read_ledger(ledger)
-    outputs = doc.get("outputs")
-    stored = outputs.get("ledger") if isinstance(outputs, dict) else None
+    named = doc.get("outputs")
+    stored = named.get("ledger") if isinstance(named, dict) else None
     if not isinstance(stored, str) or not stored:
         raise ValueError("report names no ledger; pass --ledger explicitly")
     beside = Path(path).parent / stored
     for candidate in (Path(stored), beside):
         if candidate.exists():
+            _check_outputs(outputs, [str(candidate)])
             return doc, read_ledger(candidate)
     raise ValueError(f"no such ledger file: {stored} (nor {beside})")
 
@@ -337,7 +358,7 @@ def _load_report(path: str, ledger: str | None) -> tuple[dict, MatchReport]:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     ledger_path = args.ledger or str(Path(args.out).with_suffix(".ledger.jsonl"))
-    _check_outputs(args, ledger_path)
+    _check_outputs(_report_outputs(args, ledger_path), [args.gold, args.pred])
     gold, gold_sha256 = _load_corpus(args.gold, args.format, args.scheme)
     pred, pred_sha256 = _load_corpus(args.pred, args.format, args.scheme)
     corpus = pair_corpora(gold, pred)
@@ -368,6 +389,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_build_clsdata(args: argparse.Namespace) -> int:
+    _check_outputs([args.out], [args.train, args.chunks, args.stopwords])
     corpus, _ = _load_corpus(args.train, args.format, args.scheme)
     stopwords = None
     if args.stopwords:
@@ -392,6 +414,7 @@ def _cmd_build_clsdata(args: argparse.Namespace) -> int:
 
 
 def _cmd_train_cls(args: argparse.Namespace) -> int:
+    _check_outputs([args.out], [args.pairs])
     pairs = read_pairs(args.pairs)
     config = TrainConfig(
         seed=args.seed,
@@ -410,8 +433,11 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     decisions_path = args.decisions_out or str(
         Path(args.out).with_suffix(".decisions.jsonl")
     )
-    _check_outputs(args, decisions_path)
-    doc, report = _load_report(args.report, args.ledger)
+    outputs = _report_outputs(args, decisions_path)
+    _check_outputs(
+        outputs, [args.report, args.ledger, args.model, args.external_decisions]
+    )
+    doc, report = _load_report(args.report, args.ledger, outputs)
     if args.model:
         model = ClassifierModel.load(args.model)
         # a model that knows none of the Type-5 labels rejects every record
@@ -440,8 +466,9 @@ def _cmd_refine(args: argparse.Namespace) -> int:
 
 
 def _cmd_judge(args: argparse.Namespace) -> int:
-    _check_outputs(args)
-    doc, report = _load_report(args.report, args.ledger)
+    outputs = _report_outputs(args)
+    _check_outputs(outputs, [args.report, args.judgements, args.decisions, args.ledger])
+    doc, report = _load_report(args.report, args.ledger, outputs)
     judgements = load_judgements(args.judgements, report)
     profiles = [UserProfile(args.profile)] if args.profile else list(UserProfile)
     # coverage first: a file that covers no record exits 4, as a partial one does
@@ -509,6 +536,11 @@ def _cmd_judge(args: argparse.Namespace) -> int:
 
 
 def _cmd_perturb(args: argparse.Namespace) -> int:
+    prefix = Path(args.out_prefix)
+    gold_path = prefix.with_name(prefix.name + ".gold.jsonl")
+    pred_path = prefix.with_name(prefix.name + ".pred.jsonl")
+    expected_path = prefix.with_name(prefix.name + ".expected.jsonl")
+    _check_outputs([gold_path, pred_path, expected_path], [args.gold])
     corpus, _ = _load_corpus(args.gold, args.format, args.scheme)
     plan = PerturbationPlan(
         seed=args.seed,
@@ -522,10 +554,6 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
         insert_rate=args.insert_rate,
     )
     pred, expected = perturb(corpus, plan)
-    prefix = Path(args.out_prefix)
-    gold_path = prefix.with_name(prefix.name + ".gold.jsonl")
-    pred_path = prefix.with_name(prefix.name + ".pred.jsonl")
-    expected_path = prefix.with_name(prefix.name + ".expected.jsonl")
     _write_text(serialize_standoff(corpus), gold_path)
     _write_text(serialize_standoff(pred), pred_path)
     write_expected_ledger(expected, expected_path)

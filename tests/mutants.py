@@ -1,5 +1,6 @@
-"""Mutation check: every mutant of the matcher's spine, of scoring and of the
-classifier model's storage must fail its tests.
+"""Mutation check: every mutant of the matcher's spine, of scoring, of the
+classifier's featurizer and training loop and of its model's storage must
+fail its tests.
 
     python3 tests/mutants.py            # run every mutant
     python3 tests/mutants.py NAME ...   # run the named mutants only
@@ -68,6 +69,10 @@ def _compare_on(key: str) -> str:
 
 # the test that compares every convention with the per-record scoring oracle
 _SCORING_ORACLE = "tests/test_metrics.py::test_every_convention_matches_the_per_record_oracle"
+# the tests that compare the featurizer with the reference construction, and
+# training and decisions with the classifier of per-text arrays
+_FEATURIZER_ORACLE = "tests/test_classifier.py::test_featurizer_matches_the_reference_construction"
+_CLASSIFIER_ORACLE = "tests/test_classifier.py::test_train_and_decide_match_the_per_text_classifier"
 
 MUTANTS = [
     Mutant(
@@ -192,6 +197,50 @@ MUTANTS = [
             "tests/test_classifier.py::test_sparse_model_matches_the_dense_payload",
             "tests/test_classifier.py::test_training_and_model_io_hold_no_dense_matrix",
         ),
+    ),
+    Mutant(
+        "features-in-bucket-order",
+        "        by_first = np.lexsort((order[runs], hit_text[runs]))\n",
+        '        by_first = np.argsort(hit_text[runs], kind="stable")\n',
+        (
+            _FEATURIZER_ORACLE,
+            _CLASSIFIER_ORACLE,
+            "tests/test_classifier.py::test_model_bytes_are_pinned",
+        ),
+    ),
+    Mutant(
+        "features-without-utf8-continuation-bytes",
+        "            for j in range(1, int(width.max(initial=1)))\n",
+        "            for j in range(1, 1)\n",
+        (_FEATURIZER_ORACLE, _CLASSIFIER_ORACLE),
+    ),
+    Mutant(
+        "batch-drops-its-last-text",
+        "        batch = [text.lower() for text in texts[lo:lo + _BATCH_TEXTS]]\n",
+        "        batch = [text.lower() for text in texts[lo:lo + _BATCH_TEXTS - 1]]\n",
+        (_FEATURIZER_ORACLE, _CLASSIFIER_ORACLE),
+    ),
+    Mutant(
+        "sgd-step-drops-a-text-s-last-feature",
+        "                idx, val = pos[start:stop], count[start:stop]\n",
+        "                idx, val = pos[start:stop - 1], count[start:stop - 1]\n",
+        (
+            _CLASSIFIER_ORACLE,
+            "tests/test_classifier.py::test_model_bytes_are_pinned",
+        ),
+    ),
+    Mutant(
+        "train-keeps-an-array-per-text",
+        "    del texts, ends, bounds\n",
+        "    kept = [count[a:b].copy() for a, b in zip(ends, ends[1:])]\n"
+        "    del texts, ends, bounds\n",
+        ("tests/test_classifier.py::test_training_memory_grows_by_tens_of_bytes_per_feature",),
+    ),
+    Mutant(
+        "outputs-not-checked-against-inputs",
+        "    for path in filter(None, inputs):\n",
+        "    for path in filter(None, ()):\n",
+        ("tests/test_cli.py::test_output_that_is_an_input_exits_1_and_writes_nothing",),
     ),
     Mutant(
         "accepted-type5-ignores-credit-from-kinds",

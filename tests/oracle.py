@@ -8,16 +8,37 @@ one-pass ``parse_iob`` replaced, kept as it was, and ``iob2_tags`` encodes
 a parsed side back into IOB2 tags. ``oracle_parse_standoff`` is the
 standoff reader that checked each token and entity in Python, and
 ``oracle_scores`` scores a convention by the per-record pass that the
-library's tallies replaced, both kept as they were. Tests compare library
-output against these.
+library's tallies replaced, both kept as they were. ``oracle_train`` and
+``oracle_decide_type5`` are the classifier's training and Type-5 decision
+loops as they were when a per-text ``_Featurizer`` held one pair of arrays
+per text and ``train`` one trio per pair, kept as they were. Tests compare
+library output against these.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import random
 import re
 from collections import Counter
+from random import Random
+from typing import Sequence
+
+import numpy as np
+
+from entmatch.classifier import (
+    _GRAM_STATES,
+    _WEIGHT_LIMIT,
+    _WORD_STATE,
+    ClassifierModel,
+    Decision,
+    TrainConfig,
+    Verdict,
+    _hash64,
+    _nonzero_rows,
+    _softmax,
+)
 
 from entmatch.corpus import (
     Corpus,
@@ -30,7 +51,7 @@ from entmatch.corpus import (
     decode_utf8,
     read_jsonl,
 )
-from entmatch.matcher import MatchRecord, MismatchType
+from entmatch.matcher import MatchRecord, MatchReport, MismatchType
 from entmatch.metrics import PRF, Convention
 
 EXACT = MismatchType.EXACT_MATCH
@@ -627,3 +648,170 @@ def oracle_scores(records, kinds, accepted=frozenset()):
         len(gold_labels) - gold_hits,
     )
     return overall, per_label
+
+
+# ---------------------------------------------------------------------------
+# the classifier before its batched featurizer
+
+
+class _Featurizer:
+    """Hashed features: character 3-5-grams and words of the lowercased text.
+
+    Each distinct text is featurized once and each distinct gram or word
+    hashed once. The caches grow with the texts seen, so an instance lives
+    for one call of ``train``, ``predict`` or ``decide_type5`` only.
+    """
+
+    def __init__(self, buckets: int):
+        self.buckets = buckets
+        self._grams: dict[str, int] = {}  # a gram's length is its n
+        self._words: dict[str, int] = {}
+        self._rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def counts(self, text: str) -> dict[int, float]:
+        """Bucket -> count, in the order each bucket is first hit."""
+        lowered = text.lower()
+        counts: dict[int, float] = {}
+        grams = self._grams
+        for n, state in _GRAM_STATES:
+            for i in range(len(lowered) - n + 1):
+                gram = lowered[i:i + n]
+                bucket = grams.get(gram)
+                if bucket is None:
+                    bucket = grams[gram] = _hash64(gram, state) % self.buckets
+                counts[bucket] = counts.get(bucket, 0.0) + 1.0
+        words = self._words
+        for word in lowered.split():
+            bucket = words.get(word)
+            if bucket is None:
+                bucket = words[word] = _hash64(word, _WORD_STATE) % self.buckets
+            counts[bucket] = counts.get(bucket, 0.0) + 1.0
+        return counts
+
+    def __call__(self, text: str) -> tuple[np.ndarray, np.ndarray]:
+        """The text's bucket indices and counts as arrays, shared per text."""
+        row = self._rows.get(text)
+        if row is None:
+            import numpy as np
+
+            feats = self.counts(text)
+            idx = np.fromiter(feats.keys(), dtype=np.int64, count=len(feats))
+            val = np.fromiter(feats.values(), dtype=np.float64, count=len(feats))
+            row = self._rows[text] = (idx, val)
+        return row
+
+
+def oracle_train(pairs: Sequence, config: TrainConfig = TrainConfig()) -> ClassifierModel:
+    """Train the built-in model on (text, label) pairs.
+
+    Accepts any objects with ``text`` and ``label`` attributes. Examples
+    are shuffled once per epoch with a generator seeded from the config,
+    so identical inputs and config reproduce the model byte for byte. A
+    run that diverges, leaving a weight or bias that is not finite or not
+    below ``_WEIGHT_LIMIT`` in magnitude, raises ``ValueError``.
+    """
+    import numpy as np
+
+    if not pairs:
+        raise ValueError("training set is empty")
+    labels = sorted({p.label for p in pairs})
+    if len(labels) < 2:
+        raise ValueError(f"need at least 2 distinct labels, got {labels}")
+    label_index = {lab: i for i, lab in enumerate(labels)}
+
+    featurize = _Featurizer(config.buckets)
+    lr = config.learning_rate
+    # a rate too large overflows; the check after the loop reports it once
+    with np.errstate(over="ignore", invalid="ignore"):
+        features: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for p in pairs:
+            if p.text not in features:
+                if not p.text.strip():
+                    raise ValueError("training pair with empty text")
+                features[p.text] = featurize(p.text)
+        del featurize  # its caches are done with once every text has arrays
+        # SGD runs on the rows the pairs touch, ascending; each distinct
+        # text's buckets become positions among them once
+        rows = np.unique(np.concatenate([idx for idx, _ in features.values()]))
+        for text, (idx, val) in features.items():
+            features[text] = (rows.searchsorted(idx), val)
+        examples: list[tuple[np.ndarray, np.ndarray, np.ndarray, int]] = []
+        for p in pairs:
+            idx, val = features[p.text]
+            examples.append((idx, val, lr * val[:, None], label_index[p.label]))
+        del features
+
+        weights = np.zeros((len(rows), len(labels)), dtype=np.float64)
+        bias = np.zeros(len(labels), dtype=np.float64)
+        # the step writes each row back as one opaque element, a byte copy;
+        # the ufunc reductions are what .max() and .sum() call
+        row_dtype = np.dtype((np.void, weights.itemsize * len(labels)))
+        take, put = weights.take, weights.view(row_dtype).put
+        exp, top, total = np.exp, np.maximum.reduce, np.add.reduce
+        rng = Random(config.seed)
+        for _ in range(config.epochs):
+            # shuffle's swaps depend on the generator and the length only, so
+            # the visiting order is fixed by the seed and the number of pairs
+            rng.shuffle(examples)
+            for idx, val, step, y in examples:
+                w = take(idx, axis=0)
+                scores = bias + val @ w
+                probs = exp(scores - top(scores))
+                probs /= total(probs)
+                probs[y] -= 1.0
+                w -= step * probs
+                put(idx, w.view(row_dtype))
+                bias -= lr * probs
+    # NaN fails both comparisons, as an infinity fails one; the rows not
+    # held are +0.0, hence the initial 0.0
+    if not all(
+        -_WEIGHT_LIMIT < a.min(initial=0.0) <= a.max(initial=0.0) < _WEIGHT_LIMIT
+        for a in (weights, bias)
+    ):
+        raise ValueError(
+            f"training diverged at learning rate {lr}: a weight is not finite "
+            f"or beyond {_WEIGHT_LIMIT:g}"
+        )
+    held = _nonzero_rows(weights)  # a row whose steps cancelled is +0.0 again
+    return ClassifierModel(tuple(labels), rows[held], weights[held], bias, config)
+
+
+def _probabilities(
+    model: ClassifierModel, featurize: _Featurizer, text: str
+) -> np.ndarray:
+    if not text.strip():
+        raise ValueError("cannot classify empty text")
+    idx, val = featurize(text)
+    return _softmax(model.bias + val @ model.gather(idx))
+
+
+def oracle_decide_type5(model: ClassifierModel, report: MatchReport) -> dict[str, Decision]:
+    """Accept a Type-5 record iff the model reproduces its label.
+
+    The confidence is reported alongside but never changes the verdict; a
+    predicted ``other`` can never equal an entity label, hence rejects. A
+    model whose probabilities for a text are not finite, because its
+    weights are not or their sum overflows, raises ``ParseError``.
+    """
+    import numpy as np
+
+    featurize = _Featurizer(model.config.buckets)
+    decisions: dict[str, Decision] = {}
+    # a model that overflows is reported once, by the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for record in report.type5_records():
+            assert record.pred is not None
+            probs = _probabilities(model, featurize, record.pred.text)
+            best = int(probs.argmax())  # the first NaN, if there is one
+            confidence = float(probs[best])
+            if not math.isfinite(confidence):
+                raise ParseError(
+                    "model gives a non-finite probability for record "
+                    f"{record.record_id!r}"
+                )
+            label = model.labels[best]
+            verdict = Verdict.ACCEPT if label == record.pred.label else Verdict.REJECT
+            decisions[record.record_id] = Decision(
+                record.record_id, verdict, label, confidence
+            )
+    return decisions

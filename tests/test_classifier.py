@@ -13,11 +13,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from entmatch.classifier import (
+    _BATCH_TEXTS,
     _BLOCK_ROWS,
     _HEAD_BYTES,
     _MAGIC,
     ClassifierModel,
-    _Featurizer,
+    _features,
     _hash64,
     Decision,
     TrainConfig,
@@ -31,8 +32,10 @@ from entmatch.classifier import (
     write_decisions,
 )
 from entmatch.clsdata import LabeledText, Origin
-from entmatch.corpus import ParseError
+from entmatch.corpus import EntityMention, ParseError
+from entmatch.matcher import MatchRecord, MatchReport, MismatchType
 from entmatch.metrics import UncoveredRecordsError
+from oracle import oracle_decide_type5, oracle_train
 
 VOCAB = {"problem": "abcde", "treatment": "mnopq", "other": "uvwxy"}
 
@@ -136,6 +139,14 @@ def _reference_features(text: str, buckets: int) -> dict[int, float]:
     return counts
 
 
+# the texts of the featurizer's examples: a lowercasing that lengthens a
+# text (İ), two- and three-byte code points, ligatures and four-byte ones
+_UNICODE_TEXTS = [
+    "İstanbul İİİ", "istanbul", "Straße ΣΊΣΥΦΟΣ naïve", "ǅemal ﬁle",
+    "𝔘𝔫𝔦𝔠𝔬𝔡𝔢 😀😀😀", "abc abc", "abcd", "abc",
+]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.text(), min_size=1, max_size=6),
@@ -144,15 +155,95 @@ def _reference_features(text: str, buckets: int) -> dict[int, float]:
 @example(["İstanbul İİİ", "istanbul", "İstanbul İİİ"], 1 << 20)
 @example(["Straße ΣΊΣΥΦΟΣ naïve", "ǅemal ﬁle", "𝔘𝔫𝔦𝔠𝔬𝔡𝔢 😀😀😀"], 7)
 @example(["abc abc", "abcd", "abc"], 2)
+# the unicode texts straddle the end of the first batch, and the last
+# batch holds one text
+@example(
+    [f"t{i} abc" for i in range(_BATCH_TEXTS - 4)] + _UNICODE_TEXTS + ["", "ab"]
+    + [f"u{i}" for i in range(_BATCH_TEXTS - 5)],
+    64,
+)
 def test_featurizer_matches_the_reference_construction(texts, buckets):
-    # one featurizer for all texts, so its caches carry from text to text
-    featurize = _Featurizer(buckets)
-    for text in texts:
+    bucket, count, bounds = _features(texts, buckets)
+    assert len(bounds) == len(texts) + 1 and bounds[0] == 0
+    assert bounds[-1] == len(bucket) == len(count)
+    for i, text in enumerate(texts):
         expected = _reference_features(text, buckets)
-        assert list(featurize.counts(text).items()) == list(expected.items())
-        idx, val = featurize(text)
-        assert idx.tolist() == list(expected)
-        assert val.tolist() == list(expected.values())
+        span = slice(bounds[i], bounds[i + 1])
+        assert bucket[span].tolist() == list(expected)
+        assert count[span].tolist() == list(expected.values())
+
+
+def _many_texts(seed: int) -> list[str]:
+    """More distinct texts than two batches, short ones among them, each
+    drawn once and some a second time."""
+    rng = random.Random(seed)
+    alphabet = "ab cİß😀ﬁé"
+    distinct: dict[str, None] = {}
+    while len(distinct) < 2 * _BATCH_TEXTS + 1 + seed % 40:
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 9)))
+        if text.strip():  # a blank text fails training, as it should
+            distinct[text] = None
+    texts = list(distinct)
+    return texts + rng.sample(texts, 30)
+
+
+@st.composite
+def pair_sets(draw):
+    """Training pairs, the texts of the Type-5 records to decide, and a bucket count."""
+    buckets = draw(st.sampled_from([2, 3, 64, 1 << 20]))
+    texts = draw(
+        st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=10)
+        | st.sampled_from([_UNICODE_TEXTS])
+        | st.integers(0, 1 << 16).map(_many_texts)
+    )
+    texts = texts + draw(st.lists(st.sampled_from(texts), max_size=6))  # repeats
+    labels = st.sampled_from(["A", "B", "C"])
+    pairs = [LabeledText(t, draw(labels), Origin.GOLD_ENTITY) for t in texts]
+    decided = draw(st.lists(st.sampled_from(texts) | st.text(max_size=6), max_size=12))
+    return pairs, [(t, draw(labels)) for t in decided], buckets
+
+
+def _type5_report(records: list[tuple[str, str]]) -> MatchReport:
+    kind = MismatchType.TYPE5_RIGHT_LABEL_OVERLAP
+    return MatchReport.from_records(
+        MatchRecord(
+            f"d:{i}", "d", kind,
+            EntityMention("d", 2 * i, 2 * i + 1, label, text),
+            EntityMention("d", 2 * i, 2 * i + 2, label, text),
+            1,
+        )
+        for i, (text, label) in enumerate(records)
+    )
+
+
+def _outcome(function, *args):
+    """What ``function`` returns, or the type and message of its ValueError."""
+    try:
+        return function(*args)
+    except ValueError as exc:  # ParseError included
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair_sets())
+@example(([LabeledText(t, "AB"[i % 2], Origin.GOLD_ENTITY)
+           for i, t in enumerate(_UNICODE_TEXTS)],
+          [(t, "A") for t in _UNICODE_TEXTS], 1 << 20))
+def test_train_and_decide_match_the_per_text_classifier(case):
+    # the classifier as it was before the batched featurizer is the oracle:
+    # both run the same BLAS kernel, so the bytes agree on any CPU
+    pairs, records, buckets = case
+    config = TrainConfig(buckets=buckets, epochs=2)
+    model = _outcome(train, pairs, config)
+    expected = _outcome(oracle_train, pairs, config)
+    if not isinstance(model, ClassifierModel):
+        assert model == expected
+        return
+    assert model.to_bytes() == expected.to_bytes()
+    report = _type5_report(records)
+    assert _outcome(decide_type5, model, report) == _outcome(
+        oracle_decide_type5, model, report
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +253,7 @@ def test_featurizer_matches_the_reference_construction(texts, buckets):
 def test_confidence_is_the_top_probability():
     model = train(separable_pairs(60), SMALL)
     prediction = predict(model, "mnopq")
-    idx, val = _Featurizer(model.config.buckets)("mnopq")
+    idx, val, _ = _features(["mnopq"], model.config.buckets)
     scores = model.bias + val @ model.gather(idx)
     probs = np.exp(scores - scores.max())
     probs /= probs.sum()
@@ -355,6 +446,49 @@ def test_training_and_model_io_hold_no_dense_matrix(tmp_path):
     assert max(train_peak, save_peak, load_peak) < dense / 4
     assert loaded.rows.tolist() == model.rows.tolist()
     assert loaded.weights.tobytes() == model.weights.tobytes()
+
+
+def test_training_memory_grows_by_tens_of_bytes_per_feature():
+    # 4,000 distinct 10-letter texts over "abc", each in two pairs: 22
+    # feature occurrences per text (8 + 7 + 6 grams, 1 word), F = 88,000,
+    # and a few thousand held rows R, since the grams repeat.
+    #
+    # At its peak train is in one of three phases, each holding per
+    # feature occurrence:
+    # - as _features ends: an int32 bucket and a float64 count (12 B), the
+    #   text -> index map (about 100 B a text) and the word cache (about
+    #   130 B a word, one word a text here): 22 B;
+    # - in np.unique: the bucket, the count, a sorted int32 copy, a bool
+    #   mask (17 B) and the text -> index map: 22 B;
+    # - in the SGD loop: the count, int32 row positions (12 B) and each
+    #   pair's (start, stop, label) triple, 72 B with its list slot, two a
+    #   text, which share the text's two slice ends (32 B each): 21 B.
+    # So 24 B per occurrence bounds each phase, together with the held rows
+    # (an int64 bucket and L float64 weights each, twice for the unique
+    # rows and a held copy) and 256 KiB for one batch's temporaries. The
+    # classifier that kept two arrays per text and one step array per pair
+    # used about twice the bound; an array that owns a text's features
+    # (some 300 B), or a view per pair (about 112 B, 224 B a text here),
+    # breaks it as well.
+    rng = random.Random(5)
+    texts: dict[str, None] = {}
+    while len(texts) < 4000:
+        texts["".join(rng.choice("abc") for _ in range(10))] = None
+    pairs = [
+        LabeledText(text, "AB"[(i + j) % 2], Origin.GOLD_ENTITY)
+        for j in range(2) for i, text in enumerate(texts)
+    ]
+    occurrences = len(texts) * 22
+    config = TrainConfig(epochs=1, buckets=1 << 20)
+    train(separable_pairs(10), SMALL)  # numpy's one-time allocations first
+    tracemalloc.start()
+    try:
+        model = train(pairs, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = 2 * len(model.rows) * (8 + 8 * len(model.labels))
+    assert peak < 24 * occurrences + held + (1 << 18)
 
 
 def test_model_file_that_shrinks_while_it_is_read_is_rejected(tmp_path, monkeypatch):

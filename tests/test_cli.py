@@ -443,6 +443,52 @@ def test_two_outputs_given_one_file_exit_1_and_write_nothing(
     assert _files(workspace) == before
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "gold.iob", "pred.iob", "--out", "r.json", "--ledger", "gold.iob"],
+        ["build-clsdata", "gold.iob", "--out", "sub/../gold.iob"],
+        ["train-cls", "pairs.jsonl", "--out", "pairs.jsonl"],
+        ["refine", "report.json", "--external-decisions", "responses.jsonl",
+         "--decisions-out", "report.ledger.jsonl"],
+        ["judge", "report.json", "scores.tsv", "--out", "scores.tsv"],
+        ["perturb", "p.gold.jsonl", "--format", "standoff", "--out-prefix", "p"],
+    ],
+    ids=[
+        "eval-ledger-over-gold",
+        "build-clsdata-pairs-over-corpus",
+        "train-cls-model-over-pairs",
+        "refine-decisions-over-the-ledger-the-report-names",
+        "judge-report-over-judgements",
+        "perturb-gold-over-its-input",
+    ],
+)
+def test_output_that_is_an_input_exits_1_and_writes_nothing(
+    workspace, capsys, monkeypatch, argv
+):
+    from entmatch.corpus import parse_iob, serialize_standoff
+
+    _, report = _eval(workspace)  # names the ledger by its absolute path
+    t5_ids = _report_t5_ids(report)
+    (workspace / "responses.jsonl").write_text("".join(
+        json.dumps({"id": rid, "label": "problem", "confidence": 1.0}) + "\n"
+        for rid in t5_ids
+    ))
+    (workspace / "scores.tsv").write_text("".join(f"{rid}\t3\n" for rid in t5_ids))
+    assert main(["build-clsdata", str(workspace / "gold.iob"),
+                 "--out", str(workspace / "pairs.jsonl")]) == EXIT_OK
+    (workspace / "p.gold.jsonl").write_text(serialize_standoff(parse_iob(GOLD_IOB)))
+    (workspace / "sub").mkdir()
+    monkeypatch.chdir(workspace)
+    before = _files(workspace)
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert "are the same file" in err
+    assert _files(workspace) == before
+
+
 # ---------------------------------------------------------------------------
 # classifier pipeline
 
