@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
+from json.encoder import encode_basestring
 from pathlib import Path
 from random import Random
 from typing import (
@@ -35,6 +36,7 @@ from .corpus import (
     open_output,
     read_jsonl,
     write_jsonl,
+    write_lines,
 )
 from .matcher import MatchReport
 
@@ -49,6 +51,9 @@ _DTYPE = "<f8"
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+# The featurizer holds buckets in int32 arrays, so 2**31 is the largest count
+# whose buckets all fit; the dense model file holds buckets x labels float64s.
+_MAX_BUCKETS = 1 << 31
 # A text's score for a label is its bias plus its feature counts times their
 # weights. Below this magnitude (2**512) no text shorter than about 1e153
 # characters can overflow a score, so a trained model scores every text.
@@ -66,6 +71,9 @@ _HEADER_FIELDS = (
 class Verdict(Enum):
     ACCEPT = "accept"
     REJECT = "reject"
+
+
+_VERDICTS = {v.value: v for v in Verdict}
 
 
 @dataclass(slots=True)
@@ -154,9 +162,8 @@ def _features(
         lowered = text.lower()
         n = len(lowered)
         size += max(n - 2, 0) + max(n - 3, 0) + max(n - 4, 0) + len(lowered.split())
-    # with at most 2**31 buckets every bucket fits int32, which halves the
-    # array and its sort
-    bucket = np.empty(size, dtype=np.int32 if buckets <= 1 << 31 else np.int64)
+    # buckets are below _MAX_BUCKETS, so each fits int32
+    bucket = np.empty(size, dtype=np.int32)
     count = np.empty(size, dtype=np.float64)
     bounds = np.zeros(len(texts) + 1, dtype=np.int64)
     prime = np.uint64(_FNV_PRIME)
@@ -385,6 +392,10 @@ class ClassifierModel:
             raise ParseError(
                 f"model payload is {payload} bytes, expected {expected}"
             )
+        if buckets > _MAX_BUCKETS:
+            raise ParseError(
+                f"model header field 'buckets' is {buckets}, more than {_MAX_BUCKETS}"
+            )
         rows = [np.empty(0, dtype=np.int64)]
         weights = [np.empty((0, n_labels))]
         for lo, hi in _blocks(buckets, n_labels):
@@ -412,10 +423,15 @@ def train(pairs: Sequence, config: TrainConfig = TrainConfig()) -> ClassifierMod
     are shuffled once per epoch with a generator seeded from the config,
     so identical inputs and config reproduce the model byte for byte. A
     run that diverges, leaving a weight or bias that is not finite or not
-    below ``_WEIGHT_LIMIT`` in magnitude, raises ``ValueError``.
+    below ``_WEIGHT_LIMIT`` in magnitude, raises ``ValueError``, as does a
+    bucket count above ``_MAX_BUCKETS``, before any text is featurized.
     """
     import numpy as np
 
+    if config.buckets > _MAX_BUCKETS:
+        raise ValueError(
+            f"bucket count must be at most {_MAX_BUCKETS}, got {config.buckets}"
+        )
     if not pairs:
         raise ValueError("training set is empty")
     labels = sorted({p.label for p in pairs})
@@ -595,13 +611,18 @@ def load_external_decisions(
 
     responses: dict[str, tuple[str, float]] = {}
     for line_no, obj in read_jsonl(Path(path).read_bytes(), "response file"):
-        rid = check_type5_id(obj.get("id"), records, responses, "response", line_no)
+        rid = obj.get("id")
+        if type(rid) is not str or rid not in records or rid in responses:
+            check_type5_id(rid, records, responses, "response", line_no)
         label = obj.get("label")
-        if not isinstance(label, str) or label not in allowed:
+        if type(label) is not str or label not in allowed:
             raise ParseError(
                 f"label {label!r} not in the allowed label set", line_no
             )
-        responses[rid] = (label, check_confidence(obj.get("confidence"), line_no))
+        confidence = obj.get("confidence")
+        if type(confidence) is not float or not 0.0 <= confidence <= 1.0:
+            confidence = check_confidence(confidence, line_no)
+        responses[rid] = (label, confidence)
 
     decisions: dict[str, Decision] = {}
     for rid in check_covered(report, responses):
@@ -617,20 +638,31 @@ def load_external_decisions(
 # decision files
 
 
+def _confidence_json(value: float | None) -> str:
+    """``json.dumps`` of a confidence; one that is not finite raises ``ValueError``."""
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value, ensure_ascii=False, allow_nan=False)
+
+
 def write_decisions(decisions: Mapping[str, Decision], path: str | Path) -> None:
-    """Write one decision per line, sorted by record id."""
-    write_jsonl(
-        (
-            {
-                "record_id": d.record_id,
-                "verdict": d.verdict.value,
-                "predicted_label": d.predicted_label,
-                "confidence": d.confidence,
-            }
-            for _, d in sorted(decisions.items())
-        ),
-        path,
-    )
+    """Write one decision per line, sorted by record id.
+
+    Each line is ``json.dumps(decision, ensure_ascii=False)`` of its
+    ``record_id``, ``verdict``, ``predicted_label`` and ``confidence``, built
+    by one f-string; every line is built before the file is opened, so a
+    confidence that is not finite raises ``ValueError`` and writes nothing.
+    """
+    lines = []
+    for _, d in sorted(decisions.items()):
+        label = d.predicted_label
+        lines.append(
+            f'{{"record_id": {encode_basestring(d.record_id)}, '
+            f'"verdict": "{d.verdict.value}", '
+            f'"predicted_label": {"null" if label is None else encode_basestring(label)}, '
+            f'"confidence": {_confidence_json(d.confidence)}}}\n'
+        )
+    write_lines(lines, path)
 
 
 def read_decisions(path: str | Path, report: MatchReport) -> dict[str, Decision]:
@@ -638,19 +670,20 @@ def read_decisions(path: str | Path, report: MatchReport) -> dict[str, Decision]
     type5_ids = {r.record_id for r in report.type5_records()}
     decisions: dict[str, Decision] = {}
     for line_no, obj in read_jsonl(Path(path).read_bytes(), "decision file"):
-        rid = check_type5_id(
-            obj.get("record_id"), type5_ids, decisions, "decision", line_no
-        )
-        verdict = obj.get("verdict")
-        try:
-            verdict = Verdict(verdict)
-        except ValueError:
-            raise ParseError(f"invalid verdict {verdict!r}", line_no) from None
+        rid = obj.get("record_id")
+        if type(rid) is not str or rid not in type5_ids or rid in decisions:
+            check_type5_id(rid, type5_ids, decisions, "decision", line_no)
+        raw = obj.get("verdict")
+        verdict = _VERDICTS.get(raw) if type(raw) is str else None
+        if verdict is None:
+            raise ParseError(f"invalid verdict {raw!r}", line_no)
         label = obj.get("predicted_label")
-        if label is not None and not isinstance(label, str):
+        if label is not None and type(label) is not str:
             raise ParseError(f"invalid predicted label {label!r}", line_no)
         confidence = obj.get("confidence")
-        if confidence is not None:
+        if confidence is not None and (
+            type(confidence) is not float or not 0.0 <= confidence <= 1.0
+        ):
             confidence = check_confidence(confidence, line_no)
         decisions[rid] = Decision(rid, verdict, label, confidence)
     return decisions

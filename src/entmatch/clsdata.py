@@ -15,11 +15,12 @@ import logging
 import string
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring
 from pathlib import Path
 from random import Random
 from typing import Iterable, Sequence
 
-from .corpus import Corpus, Document, ParseError, decode_utf8, read_jsonl, write_jsonl
+from .corpus import Corpus, Document, ParseError, decode_utf8, read_jsonl, write_lines
 
 log = logging.getLogger(__name__)
 
@@ -182,8 +183,14 @@ def build_training_set(
 
 
 def write_pairs(pairs: Iterable[LabeledText], path: str | Path) -> None:
-    write_jsonl(
-        ({"text": p.text, "label": p.label, "origin": p.origin.value} for p in pairs),
+    """Write one ``json.dumps(pair, ensure_ascii=False)`` line per pair, of its
+    ``text``, ``label`` and ``origin``, each built by one f-string."""
+    write_lines(
+        [
+            f'{{"text": {encode_basestring(p.text)}, '
+            f'"label": {encode_basestring(p.label)}, "origin": "{p.origin.value}"}}\n'
+            for p in pairs
+        ],
         path,
     )
 

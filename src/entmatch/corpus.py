@@ -15,10 +15,19 @@ Every entmatch input file is read through the helpers here:
 into a value and ``parse_json_line`` one line into a JSON object,
 ``read_jsonl`` yields that object for each non-blank line (each raises
 ``ParseError`` for bad input), and ``is_int`` tells a JSON integer from
-``true``/``false``. No reader accepts ``NaN``, ``Infinity`` or
-``-Infinity``, which RFC 8259 does not allow, and no writer emits them.
-Every output file is opened through ``open_output``, and every JSONL output
-but the record ledger is written by ``write_jsonl``.
+``true``/``false``. ``read_jsonl`` decodes a plain line (a JSON object from
+its first to its last character) with the decoder's ``scan_once`` alone, and
+sends every other line through ``parse_json_line``. No reader accepts
+``NaN``, ``Infinity`` or ``-Infinity``, which RFC 8259 does not allow, and no
+writer emits them.
+
+Every output file is opened through ``open_output``. Each JSONL line is the
+bytes ``json.dumps(obj, ensure_ascii=False)`` gives. ``serialize_standoff``,
+``matcher.write_ledger``, ``perturb.write_expected_ledger``,
+``classifier.write_decisions`` and ``clsdata.write_pairs`` format their own
+lines with f-strings and ``json``'s string encoder; the classifier requests
+go through ``write_jsonl``. Every JSONL writer but the record ledger's builds
+all its lines before ``write_lines`` opens its file.
 """
 
 from __future__ import annotations
@@ -29,9 +38,10 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, chain
-from operator import attrgetter
+from json.encoder import encode_basestring
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NoReturn, Sequence
+from typing import IO, Callable, Iterable, Iterator, NoReturn, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -76,9 +86,39 @@ def decode_utf8(content: bytes | str, what: str) -> str:
         raise ParseError(f"{what} is not valid UTF-8: {exc}") from None
 
 
+def _scan_nothing(line: str, idx: int) -> NoReturn:
+    raise StopIteration(idx)
+
+
+def line_scanner(text: str) -> Callable[[str, int], tuple[object, int]]:
+    """The decoder's C ``scan_once`` for the lines of ``text``.
+
+    ``scan(line, 0)`` gives ``(value, end)`` for the JSON value at the start
+    of ``line``, or raises ``StopIteration``, ``ValueError`` (bad JSON, a
+    non-finite number) or ``RecursionError``. A ``dict`` that ends at
+    ``len(line)`` is what ``parse_json_line`` returns for that line, except
+    for its check of lone surrogates; so when ``text`` holds a surrogate
+    escape the scanner scans nothing, and every line takes the checked path.
+    """
+    if _SURROGATE_ESCAPE_RE.search(text):
+        return _scan_nothing
+    return _JSON_DECODER.scan_once
+
+
 def read_jsonl(content: bytes | str, what: str) -> Iterator[tuple[int, dict]]:
     """Yield ``(line number, object)`` for each non-blank line of a JSONL input."""
-    for line_no, line in enumerate(decode_utf8(content, what).split("\n"), 1):
+    text = decode_utf8(content, what)
+    scan = line_scanner(text)
+    for line_no, line in enumerate(text.split("\n"), 1):
+        try:
+            obj, end = scan(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            pass
+        else:
+            if end == len(line) and type(obj) is dict:
+                yield line_no, obj
+                continue
+        # blank or padded lines, a byte order mark, a non-object, bad JSON
         if line.strip():
             yield line_no, parse_json_line(line, line_no, what)
 
@@ -121,7 +161,12 @@ def write_jsonl(objects: Iterable[dict], path: str | Path) -> None:
     be (a float that is not finite raises ``ValueError``) leaves an
     existing file as it was and creates none.
     """
-    lines = [_JSONL_ENCODER.encode(obj) + "\n" for obj in objects]
+    write_lines([_JSONL_ENCODER.encode(obj) + "\n" for obj in objects], path)
+
+
+def write_lines(lines: list[str], path: str | Path) -> None:
+    """Write ``lines``, built in full by the caller before the file is
+    opened, so that a value that cannot be encoded leaves the file as it was."""
     with open_output(path) as fh:
         fh.writelines(lines)
 
@@ -298,6 +343,11 @@ def parse_iob(
     is built when the next ``-DOCSTART-`` or the end of the file closes
     it. Entity state resets at sentence boundaries: ``B-`` always opens an
     entity, and ``I-`` extends an open same-label entity or opens one.
+
+    A plain line, ``token<TAB>tag`` with no whitespace at either end of
+    either part, a tag this call has decoded before and a token that does
+    not start with ``-DOCSTART-``, is split once and its tag looked up;
+    every other line takes the general path, which strips and checks it.
     """
     lines = enumerate(decode_utf8(content, "IOB file").split("\n"), 1)
     documents: list[Document] = []
@@ -308,58 +358,72 @@ def parse_iob(
     spans: list[list] = []  # [start, end, label] of each mention
     in_sentence = False
     open_label: str | None = None  # the label an I- tag extends
+    # each valid tag the general path has met, stripped: (I-, label), and
+    # (False, None) for O; no key has a tab or whitespace at either end
+    decoded_tags: dict[str, tuple[bool, str | None]] = {"O": (False, None)}
+    iob2 = scheme is TagScheme.IOB2
     # a -DOCSTART- after the last line closes the last document
     for line_no, line in chain(lines, [(None, "-DOCSTART-")]):
-        stripped = line.strip()
-        if not stripped:
-            in_sentence, open_label = False, None
-            continue
-        if stripped.startswith("-DOCSTART-"):
-            if tokens or explicit:
-                if doc_id in seen_ids:
-                    raise ParseError(f"duplicate document id {doc_id!r}", line_no)
-                seen_ids.add(doc_id)
-                mentions = [
-                    EntityMention(doc_id, s, e, label, " ".join(tokens[s:e]))
-                    for s, e, label in spans
-                ]
-                gold, pred = (mentions, []) if source is Source.GOLD else ([], mentions)
-                documents.append(
-                    Document(doc_id, tuple(tokens), tuple(starts), gold, pred)
-                )
-            rest = stripped[len("-DOCSTART-"):].strip()
-            doc_id, explicit = rest or f"doc{len(documents)}", True
-            tokens, starts, spans = [], [], []
-            in_sentence, open_label = False, None
-            continue
-        if "\t" in line:
-            parts = [p.strip() for p in line.split("\t")]
-        else:
-            parts = stripped.split()
-        if len(parts) != 2 or not all(parts):
-            raise ParseError(
-                f"expected 2 columns (token and tag), got {len(parts)}", line_no
-            )
-        token_text, tag = parts
-        if tag == "O":
-            open_label = None
-        else:
-            m = _IOB_TAG_RE.fullmatch(tag)
-            label = m.group(2).strip() if m else ""
-            if label in ("", "O"):
-                raise ParseError(f"malformed tag {tag!r}", line_no)
-            if m.group(1) == "I" and label == open_label:
-                spans[-1][1] += 1
-            else:
-                if m.group(1) == "I" and scheme is TagScheme.IOB2:
-                    log.warning(
-                        "line %d: orphan tag I-%s repaired to B-%s",
-                        line_no,
-                        label,
-                        label,
+        token_text, _, tag = line.partition("\t")
+        decoded = decoded_tags.get(tag)
+        if (
+            decoded is None
+            or not token_text
+            or token_text.strip() != token_text
+            or token_text.startswith("-DOCSTART-")
+        ):
+            stripped = line.strip()
+            if not stripped:
+                in_sentence, open_label = False, None
+                continue
+            if stripped.startswith("-DOCSTART-"):
+                if tokens or explicit:
+                    if doc_id in seen_ids:
+                        raise ParseError(f"duplicate document id {doc_id!r}", line_no)
+                    seen_ids.add(doc_id)
+                    mentions = [
+                        EntityMention(doc_id, s, e, label, " ".join(tokens[s:e]))
+                        for s, e, label in spans
+                    ]
+                    gold, pred = (
+                        (mentions, []) if source is Source.GOLD else ([], mentions)
                     )
-                spans.append([len(tokens), len(tokens) + 1, label])
-                open_label = label
+                    documents.append(
+                        Document(doc_id, tuple(tokens), tuple(starts), gold, pred)
+                    )
+                rest = stripped[len("-DOCSTART-"):].strip()
+                doc_id, explicit = rest or f"doc{len(documents)}", True
+                tokens, starts, spans = [], [], []
+                in_sentence, open_label = False, None
+                continue
+            if "\t" in line:
+                parts = [p.strip() for p in line.split("\t")]
+            else:
+                parts = stripped.split()
+            if len(parts) != 2 or not all(parts):
+                raise ParseError(
+                    f"expected 2 columns (token and tag), got {len(parts)}", line_no
+                )
+            token_text, tag = parts
+            decoded = decoded_tags.get(tag)
+            if decoded is None:
+                m = _IOB_TAG_RE.fullmatch(tag)
+                label = m.group(2).strip() if m else ""
+                if label in ("", "O"):
+                    raise ParseError(f"malformed tag {tag!r}", line_no)
+                decoded = decoded_tags[tag] = (m.group(1) == "I", label)
+        inside, label = decoded
+        if label is None:
+            open_label = None
+        elif inside and label == open_label:
+            spans[-1][1] += 1
+        else:
+            if inside and iob2:
+                log.warning(
+                    "line %d: orphan tag I-%s repaired to B-%s", line_no, label, label
+                )
+            spans.append([len(tokens), len(tokens) + 1, label])
+            open_label = label
         if not in_sentence:
             starts.append(len(tokens))
             in_sentence = True
@@ -386,6 +450,10 @@ def parse_standoff(content: bytes | str) -> Corpus:
     return Corpus.from_documents(documents)
 
 
+# an entity's fields in this order, so that KeyError names the first missing
+_ENTITY_FIELDS = itemgetter("start", "end", "label", "source")
+
+
 def _document_from_standoff(obj: dict, line_no: int) -> Document:
     doc_id = obj.get("doc_id")
     if not isinstance(doc_id, str) or not doc_id:
@@ -401,12 +469,13 @@ def _document_from_standoff(obj: dict, line_no: int) -> Document:
     ):
         raise ParseError("'tokens' must be a list of non-empty strings", line_no)
     starts = obj.get("sentence_starts", [0] if token_texts else [])
+    # sorted and distinct before the last start is compared with the length
     if (
         not isinstance(starts, list)
-        or not all(map(is_int, starts))
+        or not set(map(type, starts)) <= {int}
         or starts != sorted(set(starts))
         or (token_texts and (not starts or starts[0] != 0))
-        or any(s >= len(token_texts) for s in starts)
+        or (starts and starts[-1] >= len(token_texts))
     ):
         raise ParseError("invalid 'sentence_starts'", line_no)
     tokens = tuple(token_texts)
@@ -416,27 +485,24 @@ def _document_from_standoff(obj: dict, line_no: int) -> Document:
         raise ParseError("'entities' must be a list", line_no)
     gold: list[EntityMention] = []
     pred: list[EntityMention] = []
+    n = len(tokens)
     for ent in raw_entities:
-        if not isinstance(ent, dict):
+        if type(ent) is not dict:
             raise ParseError("entity entry must be a JSON object", line_no)
         try:
-            start, end = ent["start"], ent["end"]
-            label = ent["label"]
-            source_value = ent["source"]
+            start, end, label, source_value = _ENTITY_FIELDS(ent)
         except KeyError as exc:
             raise ParseError(f"entity missing field {exc.args[0]!r}", line_no) from None
-        if not is_int(start) or not is_int(end):
+        if type(start) is not int or type(end) is not int:
             raise ParseError("entity span indices must be integers", line_no)
-        if end <= start:
-            raise ParseError(f"empty or inverted span [{start}, {end})", line_no)
-        if start < 0 or end > len(tokens):
+        if not 0 <= start < end <= n:
+            if end <= start:
+                raise ParseError(f"empty or inverted span [{start}, {end})", line_no)
             raise ParseError(
-                f"span [{start}, {end}) outside document bounds "
-                f"[0, {len(tokens)})",
-                line_no,
+                f"span [{start}, {end}) outside document bounds [0, {n})", line_no
             )
-        name = label.strip() if isinstance(label, str) else ""
-        if name in ("", "O"):
+        name = label.strip() if type(label) is str else ""
+        if name == "" or name == "O":
             raise ParseError(f"invalid entity label {label!r}", line_no)
         # string comparisons: a list or dict here equals neither
         if source_value == "gold":
@@ -445,8 +511,9 @@ def _document_from_standoff(obj: dict, line_no: int) -> Document:
             target = pred
         else:
             raise ParseError(f"invalid entity source {source_value!r}", line_no)
-        text = " ".join(tokens[start:end])
-        target.append(EntityMention(doc_id, start, end, name, text))
+        target.append(
+            EntityMention(doc_id, start, end, name, " ".join(tokens[start:end]))
+        )
     try:
         return Document(doc_id, tokens, tuple(starts), gold, pred)
     except ParseError as exc:
@@ -454,22 +521,28 @@ def _document_from_standoff(obj: dict, line_no: int) -> Document:
 
 
 def serialize_standoff(corpus: Corpus) -> str:
-    """Serialize a corpus to line-delimited JSON standoff, one document per line."""
+    """Serialize a corpus to line-delimited JSON standoff, one document per line.
+
+    Each line is ``json.dumps(obj, ensure_ascii=False)`` of the document's
+    ``doc_id``, ``tokens``, ``sentence_starts`` and ``entities``, gold
+    before predicted.
+    """
     lines = []
     for doc in corpus.documents:
-        entities = [
-            {"start": m.start, "end": m.end, "label": m.label, "source": source.value}
-            for source in Source
-            for m in doc.entities(source)
-        ]
-        obj = {
-            "doc_id": doc.doc_id,
-            "tokens": list(doc.tokens),
-            "sentence_starts": list(doc.sentence_starts),
-            "entities": entities,
-        }
-        lines.append(json.dumps(obj, ensure_ascii=False))
-    return "".join(line + "\n" for line in lines)
+        sides = (("gold", doc.gold_entities), ("predicted", doc.pred_entities))
+        entities = ", ".join(
+            f'{{"start": {m.start}, "end": {m.end}, '
+            f'"label": {encode_basestring(m.label)}, "source": "{source}"}}'
+            for source, side in sides
+            for m in side
+        )
+        lines.append(
+            f'{{"doc_id": {encode_basestring(doc.doc_id)}, '
+            f'"tokens": [{", ".join(map(encode_basestring, doc.tokens))}], '
+            f'"sentence_starts": [{", ".join(map(str, doc.sentence_starts))}], '
+            f'"entities": [{entities}]}}\n'
+        )
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------

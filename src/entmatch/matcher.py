@@ -25,6 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -333,11 +334,19 @@ def write_ledger(report: MatchReport, path: str | Path) -> None:
         )
 
 
+# a mention object's fields, as a tuple; a missing one raises KeyError and a
+# value that is not an object TypeError, as in _mention_from_obj
+_MENTION_FIELDS = itemgetter("span", "label", "text")
+_MENTION_TYPES = (int, int, str, str)  # of start, end, label and text
+
+
 def read_ledger(path: str | Path) -> MatchReport:
     """Reconstruct a full match report from a record ledger file.
 
     A gold span that two records give different labels raises
-    ``ParseError``, as every other defect does.
+    ``ParseError``, as every other defect does. Both mentions of a record
+    are read inline; on a defect ``_mention_from_obj`` reads them again to
+    word the error.
     """
     content = Path(path).read_bytes()
     records: list[MatchRecord] = []
@@ -346,17 +355,30 @@ def read_ledger(path: str | Path) -> MatchReport:
     for line_no, obj in read_jsonl(content, "ledger"):
         record_id = obj.get("record_id")
         doc_id = obj.get("doc_id")
-        if not isinstance(record_id, str) or not isinstance(doc_id, str):
+        if type(record_id) is not str or type(doc_id) is not str:
             raise ParseError("missing 'record_id' or 'doc_id'", line_no)
         if record_id in seen_ids:
             raise ParseError(f"duplicate record id {record_id!r}", line_no)
         seen_ids.add(record_id)
         raw_kind = obj.get("kind")
-        kind = _KINDS.get(raw_kind) if isinstance(raw_kind, str) else None
+        kind = _KINDS.get(raw_kind) if type(raw_kind) is str else None
         if kind is None:
             raise ParseError(f"unknown record kind {raw_kind!r}", line_no)
-        pred = _mention_from_obj(obj.get("pred"), doc_id, line_no)
-        gold = _mention_from_obj(obj.get("gold"), doc_id, line_no)
+        pred, gold = obj.get("pred"), obj.get("gold")
+        try:
+            if pred is not None:
+                (start, end), label, text = _MENTION_FIELDS(pred)
+                if (type(start), type(end), type(label), type(text)) != _MENTION_TYPES:
+                    raise TypeError
+                pred = EntityMention(doc_id, start, end, label, text)
+            if gold is not None:
+                (start, end), label, text = _MENTION_FIELDS(gold)
+                if (type(start), type(end), type(label), type(text)) != _MENTION_TYPES:
+                    raise TypeError
+                gold = EntityMention(doc_id, start, end, label, text)
+        except (KeyError, TypeError, ValueError):
+            pred = _mention_from_obj(obj.get("pred"), doc_id, line_no)
+            gold = _mention_from_obj(obj.get("gold"), doc_id, line_no)
         want_pred, want_gold = _SIDES_BY_KIND[kind]
         if (pred is not None) != want_pred or (gold is not None) != want_gold:
             raise ParseError(
@@ -371,7 +393,7 @@ def read_ledger(path: str | Path) -> MatchReport:
                     line_no,
                 )
         overlap = obj.get("overlap_tokens")
-        if not is_int(overlap) or overlap < 0:
+        if type(overlap) is not int or overlap < 0:
             raise ParseError("invalid 'overlap_tokens'", line_no)
         records.append(MatchRecord(record_id, doc_id, kind, pred, gold, overlap))
     return MatchReport.from_records(records)

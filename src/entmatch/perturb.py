@@ -13,10 +13,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import accumulate
+from json.encoder import encode_basestring
 from pathlib import Path
 from random import Random
 
-from .corpus import Corpus, Document, EntityMention, write_jsonl
+from .corpus import Corpus, Document, EntityMention, write_lines
 from .matcher import MatchRecord, MatchReport, MismatchType, token_overlap
 
 _EXACT = MismatchType.EXACT_MATCH
@@ -178,24 +179,25 @@ def perturb(gold: Corpus, plan: PerturbationPlan) -> tuple[Corpus, MatchReport]:
     return Corpus.from_documents(pred_docs), MatchReport.from_records(records)
 
 
+def _side_json(m: EntityMention | None) -> str:
+    if m is None:
+        return "null"
+    return f'{{"span": [{m.start}, {m.end}], "label": {encode_basestring(m.label)}}}'
+
+
 def write_expected_ledger(report: MatchReport, path: str | Path) -> None:
     """Write a report's records in the record ledger's shape, without ids,
-    texts and overlaps: ``doc_id``, ``kind``, ``pred`` and ``gold``."""
+    texts and overlaps: ``doc_id``, ``kind``, ``pred`` and ``gold``.
 
-    def side(m: EntityMention | None) -> dict | None:
-        if m is None:
-            return None
-        return {"span": [m.start, m.end], "label": m.label}
-
-    write_jsonl(
-        (
-            {
-                "doc_id": r.doc_id,
-                "kind": r.kind.value,
-                "pred": side(r.pred),
-                "gold": side(r.gold),
-            }
+    Each line is ``json.dumps(record, ensure_ascii=False)`` of those four
+    fields, built by one f-string as ``matcher.write_ledger`` builds its own.
+    """
+    write_lines(
+        [
+            f'{{"doc_id": {encode_basestring(r.doc_id)}, '
+            f'"kind": "{r.kind.value}", '
+            f'"pred": {_side_json(r.pred)}, "gold": {_side_json(r.gold)}}}\n'
             for r in report.records
-        ),
+        ],
         path,
     )

@@ -1,6 +1,6 @@
 """Mutation check: every mutant of the matcher's spine, of scoring, of the
-classifier's featurizer and training loop and of its model's storage must
-fail its tests.
+classifier's featurizer and training loop, of its model's storage and of
+the line readers' and writers' plain-line paths must fail its tests.
 
     python3 tests/mutants.py            # run every mutant
     python3 tests/mutants.py NAME ...   # run the named mutants only
@@ -73,6 +73,10 @@ _SCORING_ORACLE = "tests/test_metrics.py::test_every_convention_matches_the_per_
 # training and decisions with the classifier of per-text arrays
 _FEATURIZER_ORACLE = "tests/test_classifier.py::test_featurizer_matches_the_reference_construction"
 _CLASSIFIER_ORACLE = "tests/test_classifier.py::test_train_and_decide_match_the_per_text_classifier"
+# the tests that compare the readers with the ones they replaced
+_IOB_ORACLE = "tests/test_corpus.py::test_iob_reader_matches_the_two_pass_oracle"
+_JSONL_ORACLE = "tests/test_readers.py::test_jsonl_reader_matches_the_line_by_line_oracle"
+_LEDGER_ORACLE = "tests/test_readers.py::test_ledger_reader_matches_the_line_by_line_oracle"
 
 MUTANTS = [
     Mutant(
@@ -359,6 +363,36 @@ MUTANTS = [
             "tests/test_classifier.py::test_header_of_another_format_is_rejected",
             "tests/test_cli.py::test_refine_with_defective_model_header_exits_2",
         ),
+    ),
+    Mutant(
+        "jsonl-scan-without-end-of-line-check",
+        "            if end == len(line) and type(obj) is dict:\n",
+        "            if type(obj) is dict:\n",
+        (_JSONL_ORACLE, _LEDGER_ORACLE),
+    ),
+    Mutant(
+        "iob-plain-line-takes-docstart",
+        '            or token_text.startswith("-DOCSTART-")\n',
+        "",
+        (_IOB_ORACLE,),
+    ),
+    Mutant(
+        "iob-plain-line-without-edge-space-test",
+        "            or token_text.strip() != token_text\n",
+        "",
+        (_IOB_ORACLE,),
+    ),
+    Mutant(
+        "standoff-label-not-encoded",
+        '''            f'"label": {encode_basestring(m.label)}, "source": "{source}"}}'\n''',
+        '''            f'"label": "{m.label}", "source": "{source}"}}'\n''',
+        ("tests/test_writers.py::test_standoff_lines_are_json_dumps",),
+    ),
+    Mutant(
+        "decisions-without-finiteness-check",
+        "    if type(value) is float and math.isfinite(value):\n",
+        "    if type(value) is float:\n",
+        ("tests/test_writers.py::test_non_finite_confidence_leaves_the_decision_file_as_it_was",),
     ),
     Mutant(
         "load-keeps-a-dense-copy",

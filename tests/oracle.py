@@ -11,7 +11,10 @@ standoff reader that checked each token and entity in Python, and
 library's tallies replaced, both kept as they were. ``oracle_train`` and
 ``oracle_decide_type5`` are the classifier's training and Type-5 decision
 loops as they were when a per-text ``_Featurizer`` held one pair of arrays
-per text and ``train`` one trio per pair, kept as they were. Tests compare
+per text and ``train`` one trio per pair, kept as they were.
+``oracle_read_jsonl`` and ``oracle_read_ledger`` are the JSONL and record
+ledger readers that sent every line through ``parse_json_line`` and every
+mention through ``_mention_from_obj``, kept as they were. Tests compare
 library output against these.
 """
 
@@ -22,8 +25,9 @@ import math
 import random
 import re
 from collections import Counter
+from pathlib import Path
 from random import Random
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -49,9 +53,10 @@ from entmatch.corpus import (
     TagScheme,
     build_document,
     decode_utf8,
-    read_jsonl,
+    is_int,
+    parse_json_line,
 )
-from entmatch.matcher import MatchRecord, MatchReport, MismatchType
+from entmatch.matcher import GoldKey, MatchRecord, MatchReport, MismatchType
 from entmatch.metrics import PRF, Convention
 
 EXACT = MismatchType.EXACT_MATCH
@@ -519,7 +524,7 @@ def oracle_parse_standoff(content: bytes | str) -> Corpus:
     """Parse a line-delimited JSON standoff file into a corpus."""
     documents = [
         _document_from_standoff(obj, line_no)
-        for line_no, obj in read_jsonl(content, "standoff file")
+        for line_no, obj in oracle_read_jsonl(content, "standoff file")
     ]
     return Corpus.from_documents(documents)
 
@@ -815,3 +820,91 @@ def oracle_decide_type5(model: ClassifierModel, report: MatchReport) -> dict[str
                 record.record_id, verdict, label, confidence
             )
     return decisions
+
+
+# ---------------------------------------------------------------------------
+# JSONL and record ledger readers that parse every line and mention in Python
+
+
+def oracle_read_jsonl(content: bytes | str, what: str) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, object)`` for each non-blank line of a JSONL input."""
+    for line_no, line in enumerate(decode_utf8(content, what).split("\n"), 1):
+        if line.strip():
+            yield line_no, parse_json_line(line, line_no, what)
+
+
+def _mention_from_obj(
+    obj: dict | None, doc_id: str, line_no: int
+) -> EntityMention | None:
+    if obj is None:
+        return None
+    try:
+        start, end = obj["span"]
+        label = obj["label"]
+        text = obj["text"]
+    except (KeyError, TypeError, ValueError):
+        raise ParseError("malformed mention object", line_no) from None
+    if not is_int(start) or not is_int(end):
+        raise ParseError("mention span indices must be integers", line_no)
+    if not isinstance(label, str) or not isinstance(text, str):
+        raise ParseError("mention label and text must be strings", line_no)
+    try:
+        return EntityMention(doc_id, start, end, label, text)
+    except ValueError as exc:
+        raise ParseError(str(exc), line_no) from None
+
+
+_KINDS = {k.value: k for k in MismatchType}
+
+_SIDES_BY_KIND = {
+    MismatchType.EXACT_MATCH: (True, True),
+    MismatchType.TYPE1_FALSE_POSITIVE: (True, False),
+    MismatchType.TYPE2_FALSE_NEGATIVE: (False, True),
+    MismatchType.TYPE3_WRONG_LABEL_RIGHT_SPAN: (True, True),
+    MismatchType.TYPE4_WRONG_LABEL_OVERLAP: (True, True),
+    MismatchType.TYPE5_RIGHT_LABEL_OVERLAP: (True, True),
+}
+
+
+def oracle_read_ledger(path: str | Path) -> MatchReport:
+    """Reconstruct a full match report from a record ledger file.
+
+    A gold span that two records give different labels raises
+    ``ParseError``, as every other defect does.
+    """
+    content = Path(path).read_bytes()
+    records: list[MatchRecord] = []
+    seen_ids: set[str] = set()
+    gold_labels: dict[GoldKey, str] = {}
+    for line_no, obj in oracle_read_jsonl(content, "ledger"):
+        record_id = obj.get("record_id")
+        doc_id = obj.get("doc_id")
+        if not isinstance(record_id, str) or not isinstance(doc_id, str):
+            raise ParseError("missing 'record_id' or 'doc_id'", line_no)
+        if record_id in seen_ids:
+            raise ParseError(f"duplicate record id {record_id!r}", line_no)
+        seen_ids.add(record_id)
+        raw_kind = obj.get("kind")
+        kind = _KINDS.get(raw_kind) if isinstance(raw_kind, str) else None
+        if kind is None:
+            raise ParseError(f"unknown record kind {raw_kind!r}", line_no)
+        pred = _mention_from_obj(obj.get("pred"), doc_id, line_no)
+        gold = _mention_from_obj(obj.get("gold"), doc_id, line_no)
+        want_pred, want_gold = _SIDES_BY_KIND[kind]
+        if (pred is not None) != want_pred or (gold is not None) != want_gold:
+            raise ParseError(
+                f"record kind {kind.value!r} has the wrong mention sides", line_no
+            )
+        if gold is not None:
+            label = gold_labels.setdefault((doc_id, gold.start, gold.end), gold.label)
+            if label != gold.label:
+                raise ParseError(
+                    f"gold span [{gold.start}, {gold.end}) of document {doc_id!r} "
+                    f"has labels {label!r} and {gold.label!r}",
+                    line_no,
+                )
+        overlap = obj.get("overlap_tokens")
+        if not is_int(overlap) or overlap < 0:
+            raise ParseError("invalid 'overlap_tokens'", line_no)
+        records.append(MatchRecord(record_id, doc_id, kind, pred, gold, overlap))
+    return MatchReport.from_records(records)

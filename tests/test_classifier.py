@@ -524,6 +524,27 @@ def test_header_claiming_a_huge_payload_is_rejected_before_reading_it(tmp_path):
     assert peak < 1 << 20
 
 
+def test_bucket_count_above_2_to_the_31_is_refused_before_featurizing(monkeypatch):
+    def featurize(*args):
+        raise AssertionError("featurized")
+
+    monkeypatch.setattr("entmatch.classifier._features", featurize)
+    with pytest.raises(ValueError, match=f"bucket count must be at most {2**31}"):
+        train(separable_pairs(12), TrainConfig(buckets=2**31 + 1))
+
+
+def test_header_with_more_than_2_to_the_31_buckets_is_rejected(tmp_path):
+    # without labels the payload is empty, so its length check passes
+    header = {
+        "format_version": 1, "labels": [], "buckets": 2**31 + 1,
+        "seed": 0, "epochs": 1, "learning_rate": 0.5,
+    }
+    path = tmp_path / "model.entcls"
+    path.write_bytes(_MAGIC + b"\n" + json.dumps(header).encode() + b"\n")
+    with pytest.raises(ParseError, match=f"'buckets' is {2**31 + 1}, more than {2**31}"):
+        ClassifierModel.load(path)
+
+
 # ---------------------------------------------------------------------------
 # type-5 adjudication
 

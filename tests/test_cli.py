@@ -302,6 +302,24 @@ def test_train_cls_on_lone_surrogate_exits_2(workspace, capsys):
     assert "line 2: pairs file line holds a lone UTF-16 surrogate" in err
 
 
+def test_train_cls_with_too_many_buckets_exits_1_before_training(workspace, capsys):
+    pairs = workspace / "pairs.jsonl"
+    pairs.write_text(
+        json.dumps({"text": "fever", "label": "problem", "origin": "gold_entity"})
+        + "\n"
+        + json.dumps({"text": "the ward", "label": "other", "origin": "sampled_chunk"})
+        + "\n"
+    )
+    model = workspace / "m.entcls"
+    code = main(["train-cls", str(pairs), "--buckets", str(2**64), "--out", str(model)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == (
+        f"entmatch: error: bucket count must be at most {2**31}, got {2**64}\n"
+    )
+    assert not model.exists()
+
+
 def test_eval_missing_file_exits_1(workspace):
     code = main(
         ["eval", str(workspace / "absent.iob"), str(workspace / "pred.iob")]

@@ -146,25 +146,31 @@ def test_iob2_decode_then_encode_round_trips(tags):
     assert iob2_tags(corpus.documents[0], Source.GOLD) == tags
 
 
+# Unicode whitespace that str.strip removes, at either end of either part,
+# keeps a line off parse_iob's plain-line path
+_IOB_EDGE_SPACE = ("\u00a0", "\u2003", "\x85")
 _IOB_TOKEN_LINES = st.builds(
-    "{}{}{}{}{}".format,
-    st.sampled_from(("", " ")),
-    st.sampled_from(("x", "y", "New", "-DOC")),
-    st.sampled_from(("\t", " ", "  ", " \t")),
-    st.sampled_from(("O", "B-A", "I-A", "B-B", "I-B")),
-    st.sampled_from(("", "\r", " ")),
+    "{}{}{}{}{}{}".format,
+    st.sampled_from(("", " ", *_IOB_EDGE_SPACE)),
+    st.sampled_from(("x", "y", "New", "-DOC", "a b")),
+    st.sampled_from(("", "", "", *_IOB_EDGE_SPACE)),
+    st.sampled_from(("\t", "\t", " ", "  ", " \t", "\t" + _IOB_EDGE_SPACE[1])),
+    st.sampled_from(("O", "B-A", "I-A", "B-B", "I-B", "B- A")),
+    st.sampled_from(("", "", "\r", " ", "\t", *_IOB_EDGE_SPACE)),
 )
 # explicit ids "doc0" and "doc1" can repeat the default ids of id-less documents
 _IOB_LAYOUT_LINES = st.sampled_from(
     (
         "", " ", "\t", "\r", "x\tI-C D", "y\tB-C D\r", "-DOCSTART-", "-DOCSTART-O",
         "-DOCSTART- d1", "-DOCSTART-\td1\r", " -DOCSTART- doc0", "-DOCSTART- doc1",
+        "-DOCSTART-x\tO", "-DOCSTART-\tB-A", "\u2003", "\x85",
     )
 )
 _IOB_MALFORMED_LINES = st.sampled_from(
     (
         "lonely", "a b c", "\tB-A", "x\t\tO", "x I-C D", "x B-A\tO", "x B-O",
-        "x I-O", "x B-", "x\tI- ", "x X-A", "x b-A", "x BA",
+        "x I-O", "x B-", "x\tI- ", "x X-A", "x b-A", "x BA", "x\tB-A\t",
+        "x\tB-O", "\u00a0\tO",
     )
 )
 # token, layout and malformed lines in the ratio 7 : 2 : 1
@@ -183,6 +189,9 @@ _IOB_LINES = st.sampled_from(
     scheme=st.sampled_from(TagScheme),
     source=st.sampled_from(Source),
 )
+# a malformed tag after valid ones that the plain-line path has decoded
+@example(["x\tB-A", "y\tI-A", "x\tB-A", "z\tB-", "z\tB-"], TagScheme.IOB2, Source.GOLD)
+@example(["-DOCSTART-x\tO", "x\u00a0\tB-A", "y\tI-A\u2003"], TagScheme.IOB2, Source.GOLD)
 def test_iob_reader_matches_the_two_pass_oracle(caplog, lines, scheme, source):
     content = "\n".join(lines)
 
