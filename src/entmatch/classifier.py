@@ -73,9 +73,6 @@ class Verdict(Enum):
     REJECT = "reject"
 
 
-_VERDICTS = {v.value: v for v in Verdict}
-
-
 @dataclass(slots=True)
 class Decision:
     """Accept/reject verdict for one Type-5 record.
@@ -566,7 +563,7 @@ def check_type5_id(
     line_no: int,
 ) -> str:
     """A line's record id: a string naming a Type-5 record not named before."""
-    if not isinstance(rid, str):
+    if type(rid) is not str:
         raise ParseError(f"{what} record id must be a string, got {rid!r}", line_no)
     if rid not in type5_ids:
         raise ParseError(f"unknown Type-5 record id {rid!r}", line_no)
@@ -577,7 +574,8 @@ def check_type5_id(
 
 def check_confidence(value: object, line_no: int) -> float:
     """A classifier confidence: a JSON number in [0, 1]."""
-    if not (is_int(value) or isinstance(value, float)) or not 0.0 <= value <= 1.0:
+    # a float is tested first, as nearly every confidence is one
+    if type(value) is not float and not is_int(value) or not 0.0 <= value <= 1.0:
         raise ParseError(f"confidence {value!r} outside [0, 1]", line_no)
     return float(value)
 
@@ -611,18 +609,13 @@ def load_external_decisions(
 
     responses: dict[str, tuple[str, float]] = {}
     for line_no, obj in read_jsonl(Path(path).read_bytes(), "response file"):
-        rid = obj.get("id")
-        if type(rid) is not str or rid not in records or rid in responses:
-            check_type5_id(rid, records, responses, "response", line_no)
+        rid = check_type5_id(obj.get("id"), records, responses, "response", line_no)
         label = obj.get("label")
-        if type(label) is not str or label not in allowed:
+        if not isinstance(label, str) or label not in allowed:
             raise ParseError(
                 f"label {label!r} not in the allowed label set", line_no
             )
-        confidence = obj.get("confidence")
-        if type(confidence) is not float or not 0.0 <= confidence <= 1.0:
-            confidence = check_confidence(confidence, line_no)
-        responses[rid] = (label, confidence)
+        responses[rid] = (label, check_confidence(obj.get("confidence"), line_no))
 
     decisions: dict[str, Decision] = {}
     for rid in check_covered(report, responses):
@@ -670,20 +663,19 @@ def read_decisions(path: str | Path, report: MatchReport) -> dict[str, Decision]
     type5_ids = {r.record_id for r in report.type5_records()}
     decisions: dict[str, Decision] = {}
     for line_no, obj in read_jsonl(Path(path).read_bytes(), "decision file"):
-        rid = obj.get("record_id")
-        if type(rid) is not str or rid not in type5_ids or rid in decisions:
-            check_type5_id(rid, type5_ids, decisions, "decision", line_no)
-        raw = obj.get("verdict")
-        verdict = _VERDICTS.get(raw) if type(raw) is str else None
-        if verdict is None:
-            raise ParseError(f"invalid verdict {raw!r}", line_no)
+        rid = check_type5_id(
+            obj.get("record_id"), type5_ids, decisions, "decision", line_no
+        )
+        verdict = obj.get("verdict")
+        try:
+            verdict = Verdict(verdict)
+        except ValueError:
+            raise ParseError(f"invalid verdict {verdict!r}", line_no) from None
         label = obj.get("predicted_label")
-        if label is not None and type(label) is not str:
+        if label is not None and not isinstance(label, str):
             raise ParseError(f"invalid predicted label {label!r}", line_no)
         confidence = obj.get("confidence")
-        if confidence is not None and (
-            type(confidence) is not float or not 0.0 <= confidence <= 1.0
-        ):
+        if confidence is not None:
             confidence = check_confidence(confidence, line_no)
         decisions[rid] = Decision(rid, verdict, label, confidence)
     return decisions

@@ -572,12 +572,7 @@ def _add_format_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--scheme", choices=("iob2", "iob1"), default="iob2")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="entmatch", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"entmatch {__version__}")
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("eval", parents=[], help="match predictions and score them")
+def _eval_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("gold")
     sub.add_argument("pred")
     _add_format_flags(sub)
@@ -586,7 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--render", choices=("none", "markdown"), default="none")
     sub.set_defaults(func=_cmd_eval)
 
-    sub = commands.add_parser("build-clsdata", help="build classifier training pairs")
+
+def _build_clsdata_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("train")
     _add_format_flags(sub)
     sub.add_argument("--seed", type=int, default=0)
@@ -596,7 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", default="pairs.jsonl")
     sub.set_defaults(func=_cmd_build_clsdata)
 
-    sub = commands.add_parser("train-cls", help="train the entity classifier")
+
+def _train_cls_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("pairs")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--epochs", type=int, default=5)
@@ -605,7 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", default="model.entcls")
     sub.set_defaults(func=_cmd_train_cls)
 
-    sub = commands.add_parser("refine", help="apply Type-5 decisions to a report")
+
+def _refine_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("report")
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--model", default=None)
@@ -616,7 +614,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--render", choices=("none", "markdown"), default="none")
     sub.set_defaults(func=_cmd_refine)
 
-    sub = commands.add_parser("judge", help="benchmark against expert judgements")
+
+def _judge_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("report")
     sub.add_argument("judgements")
     sub.add_argument("--decisions", default=None, help="decision file for agreement stats")
@@ -626,7 +625,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--render", choices=("none", "markdown"), default="none")
     sub.set_defaults(func=_cmd_judge)
 
-    sub = commands.add_parser("perturb", help="generate a synthetic prediction corpus")
+
+def _perturb_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("gold")
     _add_format_flags(sub)
     sub.add_argument("--seed", type=int, default=0)
@@ -640,11 +640,42 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--insert-rate", type=float, default=0.0)
     sub.add_argument("--out-prefix", required=True)
     sub.set_defaults(func=_cmd_perturb)
+
+
+# subcommand -> (its help line, the function that adds its arguments)
+_COMMANDS = {
+    "eval": ("match predictions and score them", _eval_arguments),
+    "build-clsdata": ("build classifier training pairs", _build_clsdata_arguments),
+    "train-cls": ("train the entity classifier", _train_cls_arguments),
+    "refine": ("apply Type-5 decisions to a report", _refine_arguments),
+    "judge": ("benchmark against expert judgements", _judge_arguments),
+    "perturb": ("generate a synthetic prediction corpus", _perturb_arguments),
+}
+
+
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.
+
+    Every subcommand is listed, for ``--help`` and an unknown command's
+    error. With ``argv``, only the subcommands it names get their arguments,
+    the one it runs among them: argparse builds a help formatter for each
+    argument it adds, which cost milliseconds per command for the five
+    subcommands a run never parses.
+    """
+    parser = _Parser(prog="entmatch", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"entmatch {__version__}")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=help_line)
+        if argv is None or name in argv:
+            add_arguments(sub)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

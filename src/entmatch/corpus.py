@@ -39,9 +39,9 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, chain
 from json.encoder import encode_basestring
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import IO, Iterable, Iterator, NoReturn, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -86,39 +86,28 @@ def decode_utf8(content: bytes | str, what: str) -> str:
         raise ParseError(f"{what} is not valid UTF-8: {exc}") from None
 
 
-def _scan_nothing(line: str, idx: int) -> NoReturn:
-    raise StopIteration(idx)
-
-
-def line_scanner(text: str) -> Callable[[str, int], tuple[object, int]]:
-    """The decoder's C ``scan_once`` for the lines of ``text``.
-
-    ``scan(line, 0)`` gives ``(value, end)`` for the JSON value at the start
-    of ``line``, or raises ``StopIteration``, ``ValueError`` (bad JSON, a
-    non-finite number) or ``RecursionError``. A ``dict`` that ends at
-    ``len(line)`` is what ``parse_json_line`` returns for that line, except
-    for its check of lone surrogates; so when ``text`` holds a surrogate
-    escape the scanner scans nothing, and every line takes the checked path.
-    """
-    if _SURROGATE_ESCAPE_RE.search(text):
-        return _scan_nothing
-    return _JSON_DECODER.scan_once
-
-
 def read_jsonl(content: bytes | str, what: str) -> Iterator[tuple[int, dict]]:
-    """Yield ``(line number, object)`` for each non-blank line of a JSONL input."""
+    """Yield ``(line number, object)`` for each non-blank line of a JSONL input.
+
+    A line that is one JSON object from its first to its last character is
+    decoded by the decoder's C ``scan_once`` alone. Every other line (blank
+    or padded, a byte order mark, a non-object, bad JSON, ``NaN``) goes
+    through ``parse_json_line``, which words its error. ``scan_once`` does
+    not look for lone surrogates, so in a file that holds a surrogate escape
+    every line goes through ``parse_json_line``.
+    """
     text = decode_utf8(content, what)
-    scan = line_scanner(text)
+    scan = None if _SURROGATE_ESCAPE_RE.search(text) else _JSON_DECODER.scan_once
     for line_no, line in enumerate(text.split("\n"), 1):
-        try:
-            obj, end = scan(line, 0)
-        except (StopIteration, ValueError, RecursionError):
-            pass
-        else:
-            if end == len(line) and type(obj) is dict:
-                yield line_no, obj
-                continue
-        # blank or padded lines, a byte order mark, a non-object, bad JSON
+        if scan is not None:
+            try:
+                obj, end = scan(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                pass
+            else:
+                if end == len(line) and type(obj) is dict:
+                    yield line_no, obj
+                    continue
         if line.strip():
             yield line_no, parse_json_line(line, line_no, what)
 
@@ -450,10 +439,6 @@ def parse_standoff(content: bytes | str) -> Corpus:
     return Corpus.from_documents(documents)
 
 
-# an entity's fields in this order, so that KeyError names the first missing
-_ENTITY_FIELDS = itemgetter("start", "end", "label", "source")
-
-
 def _document_from_standoff(obj: dict, line_no: int) -> Document:
     doc_id = obj.get("doc_id")
     if not isinstance(doc_id, str) or not doc_id:
@@ -469,13 +454,12 @@ def _document_from_standoff(obj: dict, line_no: int) -> Document:
     ):
         raise ParseError("'tokens' must be a list of non-empty strings", line_no)
     starts = obj.get("sentence_starts", [0] if token_texts else [])
-    # sorted and distinct before the last start is compared with the length
     if (
         not isinstance(starts, list)
-        or not set(map(type, starts)) <= {int}
+        or not all(map(is_int, starts))
         or starts != sorted(set(starts))
         or (token_texts and (not starts or starts[0] != 0))
-        or (starts and starts[-1] >= len(token_texts))
+        or any(s >= len(token_texts) for s in starts)
     ):
         raise ParseError("invalid 'sentence_starts'", line_no)
     tokens = tuple(token_texts)
@@ -485,24 +469,27 @@ def _document_from_standoff(obj: dict, line_no: int) -> Document:
         raise ParseError("'entities' must be a list", line_no)
     gold: list[EntityMention] = []
     pred: list[EntityMention] = []
-    n = len(tokens)
     for ent in raw_entities:
-        if type(ent) is not dict:
+        if not isinstance(ent, dict):
             raise ParseError("entity entry must be a JSON object", line_no)
         try:
-            start, end, label, source_value = _ENTITY_FIELDS(ent)
+            start, end = ent["start"], ent["end"]
+            label = ent["label"]
+            source_value = ent["source"]
         except KeyError as exc:
             raise ParseError(f"entity missing field {exc.args[0]!r}", line_no) from None
-        if type(start) is not int or type(end) is not int:
+        if not is_int(start) or not is_int(end):
             raise ParseError("entity span indices must be integers", line_no)
-        if not 0 <= start < end <= n:
-            if end <= start:
-                raise ParseError(f"empty or inverted span [{start}, {end})", line_no)
+        if end <= start:
+            raise ParseError(f"empty or inverted span [{start}, {end})", line_no)
+        if start < 0 or end > len(tokens):
             raise ParseError(
-                f"span [{start}, {end}) outside document bounds [0, {n})", line_no
+                f"span [{start}, {end}) outside document bounds "
+                f"[0, {len(tokens)})",
+                line_no,
             )
-        name = label.strip() if type(label) is str else ""
-        if name == "" or name == "O":
+        name = label.strip() if isinstance(label, str) else ""
+        if name in ("", "O"):
             raise ParseError(f"invalid entity label {label!r}", line_no)
         # string comparisons: a list or dict here equals neither
         if source_value == "gold":
@@ -511,9 +498,8 @@ def _document_from_standoff(obj: dict, line_no: int) -> Document:
             target = pred
         else:
             raise ParseError(f"invalid entity source {source_value!r}", line_no)
-        target.append(
-            EntityMention(doc_id, start, end, name, " ".join(tokens[start:end]))
-        )
+        text = " ".join(tokens[start:end])
+        target.append(EntityMention(doc_id, start, end, name, text))
     try:
         return Document(doc_id, tokens, tuple(starts), gold, pred)
     except ParseError as exc:

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .classifier import LOW_CONFIDENCE, Decision, Verdict, check_type5_id
-from .corpus import ParseError, decode_utf8, is_int, line_scanner, parse_json_line
+from .corpus import ParseError, decode_utf8, is_int, parse_json_line
 from .matcher import MatchReport
 from .metrics import PRF, check_covered, refined_f
 
@@ -47,41 +47,28 @@ def load_judgements(path: str | Path, report: MatchReport) -> list[JudgementReco
     """Read judgements as line-delimited JSON or two-column TSV.
 
     Every record id must name a Type-5 record of the report; duplicate ids
-    and out-of-range scores are rejected. A JSON line goes through the scan
-    that ``corpus.read_jsonl`` uses.
+    and out-of-range scores are rejected.
     """
     text = decode_utf8(Path(path).read_bytes(), "judgement file")
-    scan = line_scanner(text)
     type5_ids = {r.record_id for r in report.type5_records()}
     records: list[JudgementRecord] = []
     seen: set[str] = set()
     for line_no, line in enumerate(text.split("\n"), 1):
+        if not line.strip():
+            continue
+        raw_id, score = _parse_judgement_line(line, line_no)
+        record_id = check_type5_id(raw_id, type5_ids, seen, "judgement", line_no)
+        seen.add(record_id)
         try:
-            obj, end = scan(line, 0)
-        except (StopIteration, ValueError, RecursionError):
-            obj, end = None, -1
-        if end != len(line) or type(obj) is not dict:
-            if not line.strip():
-                continue
-            obj = None
-        raw_id, score = _parse_judgement_line(line, line_no, obj)
-        if type(raw_id) is not str or raw_id not in type5_ids or raw_id in seen:
-            check_type5_id(raw_id, type5_ids, seen, "judgement", line_no)
-        seen.add(raw_id)
-        try:
-            records.append(JudgementRecord(raw_id, score))
+            records.append(JudgementRecord(record_id, score))
         except ValueError as exc:
             raise ParseError(str(exc), line_no) from None
     return records
 
 
-def _parse_judgement_line(
-    line: str, line_no: int, obj: dict | None
-) -> tuple[object, int]:
-    """A line's record id and score; ``obj`` is the line's object, if scanned."""
-    if obj is None and line.lstrip().startswith("{"):
+def _parse_judgement_line(line: str, line_no: int) -> tuple[object, int]:
+    if line.lstrip().startswith("{"):
         obj = parse_json_line(line, line_no, "judgement file")
-    if obj is not None:
         score = obj.get("score")
         if not is_int(score):
             raise ParseError(f"score must be an integer, got {score!r}", line_no)

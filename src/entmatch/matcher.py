@@ -25,7 +25,6 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -35,7 +34,6 @@ from .corpus import (
     ParseError,
     Source,
     check_flat,
-    is_int,
     open_output,
     read_jsonl,
 )
@@ -292,9 +290,10 @@ def _mention_from_obj(
         text = obj["text"]
     except (KeyError, TypeError, ValueError):
         raise ParseError("malformed mention object", line_no) from None
-    if not is_int(start) or not is_int(end):
+    # type(x) is int excludes bool, as is_int does
+    if type(start) is not int or type(end) is not int:
         raise ParseError("mention span indices must be integers", line_no)
-    if not isinstance(label, str) or not isinstance(text, str):
+    if type(label) is not str or type(text) is not str:
         raise ParseError("mention label and text must be strings", line_no)
     try:
         return EntityMention(doc_id, start, end, label, text)
@@ -334,19 +333,11 @@ def write_ledger(report: MatchReport, path: str | Path) -> None:
         )
 
 
-# a mention object's fields, as a tuple; a missing one raises KeyError and a
-# value that is not an object TypeError, as in _mention_from_obj
-_MENTION_FIELDS = itemgetter("span", "label", "text")
-_MENTION_TYPES = (int, int, str, str)  # of start, end, label and text
-
-
 def read_ledger(path: str | Path) -> MatchReport:
     """Reconstruct a full match report from a record ledger file.
 
     A gold span that two records give different labels raises
-    ``ParseError``, as every other defect does. Both mentions of a record
-    are read inline; on a defect ``_mention_from_obj`` reads them again to
-    word the error.
+    ``ParseError``, as every other defect does.
     """
     content = Path(path).read_bytes()
     records: list[MatchRecord] = []
@@ -364,21 +355,8 @@ def read_ledger(path: str | Path) -> MatchReport:
         kind = _KINDS.get(raw_kind) if type(raw_kind) is str else None
         if kind is None:
             raise ParseError(f"unknown record kind {raw_kind!r}", line_no)
-        pred, gold = obj.get("pred"), obj.get("gold")
-        try:
-            if pred is not None:
-                (start, end), label, text = _MENTION_FIELDS(pred)
-                if (type(start), type(end), type(label), type(text)) != _MENTION_TYPES:
-                    raise TypeError
-                pred = EntityMention(doc_id, start, end, label, text)
-            if gold is not None:
-                (start, end), label, text = _MENTION_FIELDS(gold)
-                if (type(start), type(end), type(label), type(text)) != _MENTION_TYPES:
-                    raise TypeError
-                gold = EntityMention(doc_id, start, end, label, text)
-        except (KeyError, TypeError, ValueError):
-            pred = _mention_from_obj(obj.get("pred"), doc_id, line_no)
-            gold = _mention_from_obj(obj.get("gold"), doc_id, line_no)
+        pred = _mention_from_obj(obj.get("pred"), doc_id, line_no)
+        gold = _mention_from_obj(obj.get("gold"), doc_id, line_no)
         want_pred, want_gold = _SIDES_BY_KIND[kind]
         if (pred is not None) != want_pred or (gold is not None) != want_gold:
             raise ParseError(

@@ -366,9 +366,15 @@ MUTANTS = [
     ),
     Mutant(
         "jsonl-scan-without-end-of-line-check",
-        "            if end == len(line) and type(obj) is dict:\n",
-        "            if type(obj) is dict:\n",
+        "                if end == len(line) and type(obj) is dict:\n",
+        "                if type(obj) is dict:\n",
         (_JSONL_ORACLE, _LEDGER_ORACLE),
+    ),
+    Mutant(
+        "parser-skips-the-named-command",
+        "        if argv is None or name in argv:\n",
+        "        if argv is None:\n",
+        ("tests/test_cli.py::test_parser_built_for_its_argv_parses_and_prints_as_the_full_parser",),
     ),
     Mutant(
         "iob-plain-line-takes-docstart",

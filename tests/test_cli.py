@@ -24,7 +24,9 @@ from entmatch.cli import (
     EXIT_PARSE,
     EXIT_UNCOVERED,
     EXIT_USAGE,
+    _COMMANDS,
     _write_json,
+    build_parser,
     main,
 )
 from entmatch.corpus import Corpus, Document, Source, serialize_standoff, write_jsonl
@@ -331,6 +333,30 @@ def test_usage_error_exits_1():
     assert main([]) == EXIT_USAGE
     assert main(["eval"]) == EXIT_USAGE
     assert main(["no-such-command"]) == EXIT_USAGE
+
+
+# each command's help, a top-level error and a full command line with options
+_PARSED_ARGVS = [
+    ["--help"],
+    ["no-such-command"],
+    *([name, "--help"] for name in _COMMANDS),
+    ["eval", "g.iob", "p.iob", "--format", "standoff", "--ledger", "l.jsonl"],
+    ["refine", "r.json", "--external-decisions", "x.jsonl", "--bogus"],
+    ["perturb", "g.iob", "--seed", "3", "--insert-rate", "0.1", "--out-prefix", "s"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSED_ARGVS)
+def test_parser_built_for_its_argv_parses_and_prints_as_the_full_parser(argv, capsys):
+    # build_parser(argv) adds arguments only to the subcommands argv names
+    results = []
+    for parser in (build_parser(), build_parser(argv)):
+        try:
+            parsed = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            parsed = exc.code
+        results.append((parsed, capsys.readouterr()))
+    assert results[0] == results[1]
 
 
 def test_version_flag_exits_0(capsys):
