@@ -269,7 +269,11 @@ class ClassifierModel:
     summation order depends on the kernel OpenBLAS picks for the CPU, and
     ``np.exp`` has SIMD loops that differ from libm in the last bit. Under
     ``OPENBLAS_CORETYPE=Sandybridge``, for one, the trained bytes differ from
-    those of the default kernel on an AVX-512 machine.
+    those of the default kernel on an AVX-512 machine. They depend on the
+    kernel, not on OpenBLAS's thread count: each product is one text's
+    ``gemv``, too small to be split across threads, so ``train-cls`` and
+    ``refine --model``, which load OpenBLAS with one thread, write the bytes
+    that a library caller with numpy's default thread pool writes.
     """
 
     labels: tuple[str, ...]

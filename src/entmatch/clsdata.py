@@ -79,7 +79,7 @@ def extract_pairs(corpus: Corpus) -> list[LabeledText]:
 
 
 def _is_punctuation(text: str) -> bool:
-    return bool(text) and all(ch in string.punctuation for ch in text)
+    return bool(text) and not text.strip(string.punctuation)
 
 
 def _harvest_document(doc: Document, config: BuilderConfig) -> list[list[str]]:

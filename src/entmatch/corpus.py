@@ -14,7 +14,8 @@ Every entmatch input file is read through the helpers here:
 ``decode_utf8`` turns its bytes into text, ``decode_json`` turns JSON text
 into a value and ``parse_json_line`` one line into a JSON object,
 ``read_jsonl`` yields that object for each non-blank line (each raises
-``ParseError`` for bad input), and ``is_int`` tells a JSON integer from
+``ParseError`` for bad input, JSON nested too deeply to decode or an integer
+too long to convert included), and ``is_int`` tells a JSON integer from
 ``true``/``false``. ``read_jsonl`` decodes a plain line (a JSON object from
 its first to its last character) with the decoder's ``scan_once`` alone, and
 sends every other line through ``parse_json_line``. No reader accepts
@@ -35,6 +36,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, chain
@@ -112,12 +114,25 @@ def read_jsonl(content: bytes | str, what: str) -> Iterator[tuple[int, dict]]:
             yield line_no, parse_json_line(line, line_no, what)
 
 
-def decode_json(text: str) -> object:
+def decode_json(text: str, line: int | None = None) -> object:
     """``json.loads(text)``, but ``NaN``, ``Infinity`` and ``-Infinity`` raise
-    ``NonFiniteNumberError``."""
-    if text.startswith("\ufeff"):
-        return json.loads(text)  # raises the error for a byte order mark
-    return _JSON_DECODER.decode(text)
+    ``NonFiniteNumberError``, and a value nested deeper than the recursion
+    limit allows or an integer past ``int``'s digit limit raises
+    ``ParseError`` (naming ``line``, given one)."""
+    try:
+        if text.startswith("\ufeff"):
+            return json.loads(text)  # raises the error for a byte order mark
+        return _JSON_DECODER.decode(text)
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", line) from None
+    except ValueError as exc:
+        if type(exc) is not ValueError:  # JSONDecodeError, NonFiniteNumberError
+            raise
+        # the decoder's only plain ValueError: int() refusing a long literal
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(
+            f"invalid JSON: an integer of more than {limit} digits", line
+        ) from None
 
 
 def parse_json_line(line: str, line_no: int, what: str) -> dict:
@@ -127,7 +142,7 @@ def parse_json_line(line: str, line_no: int, what: str) -> dict:
     JSON object, or holds a lone UTF-16 surrogate raises ``ParseError``.
     """
     try:
-        obj = decode_json(line)
+        obj = decode_json(line, line_no)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line_no) from None
     except NonFiniteNumberError as exc:

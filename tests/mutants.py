@@ -1,6 +1,7 @@
 """Mutation check: every mutant of the matcher's spine, of scoring, of the
-classifier's featurizer and training loop, of its model's storage and of
-the line readers' and writers' plain-line paths must fail its tests.
+classifier's featurizer and training loop, of its model's storage, of
+the line readers' and writers' plain-line paths, of the JSON gate and of
+the model commands' numpy import must fail its tests.
 
     python3 tests/mutants.py            # run every mutant
     python3 tests/mutants.py NAME ...   # run the named mutants only
@@ -406,6 +407,26 @@ MUTANTS = [
         "        dense = read(start, buckets * n_labels, _DTYPE)\n"
         "        rows = [np.empty(0, dtype=np.int64)]\n",
         ("tests/test_classifier.py::test_training_and_model_io_hold_no_dense_matrix",),
+    ),
+    Mutant(
+        "single-thread-import-leaks-its-variable",
+        "    try:\n"
+        '        importlib.import_module("numpy")\n'
+        "    finally:\n"
+        '        del os.environ["OPENBLAS_NUM_THREADS"]\n',
+        '    importlib.import_module("numpy")\n',
+        ("tests/test_cli.py::test_model_commands_load_openblas_with_one_thread",),
+    ),
+    Mutant(
+        "json-gate-without-recursion-mapping",
+        "    except RecursionError:\n"
+        '        raise ParseError("invalid JSON: nested too deeply", line) from None\n',
+        "",
+        (
+            "tests/test_cli.py::test_standoff_line_nested_too_deeply_exits_2",
+            "tests/test_cli.py::test_report_nested_too_deeply_exits_2",
+            "tests/test_cli.py::test_model_header_nested_too_deeply_exits_2",
+        ),
     ),
 ]
 

@@ -14,7 +14,8 @@ loops as they were when a per-text ``_Featurizer`` held one pair of arrays
 per text and ``train`` one trio per pair, kept as they were.
 ``oracle_read_jsonl`` and ``oracle_read_ledger`` are the JSONL and record
 ledger readers that sent every line through ``parse_json_line`` and every
-mention through ``_mention_from_obj``, kept as they were. Tests compare
+mention through ``_mention_from_obj``, and ``oracle_is_punctuation`` the
+chunker's per-character punctuation test, kept as they were. Tests compare
 library output against these.
 """
 
@@ -24,6 +25,7 @@ import logging
 import math
 import random
 import re
+import string
 from collections import Counter
 from pathlib import Path
 from random import Random
@@ -820,6 +822,14 @@ def oracle_decide_type5(model: ClassifierModel, report: MatchReport) -> dict[str
                 record.record_id, verdict, label, confidence
             )
     return decisions
+
+
+# ---------------------------------------------------------------------------
+# the chunker's punctuation test, one character at a time
+
+
+def oracle_is_punctuation(text: str) -> bool:
+    return bool(text) and all(ch in string.punctuation for ch in text)
 
 
 # ---------------------------------------------------------------------------

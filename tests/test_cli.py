@@ -1310,6 +1310,81 @@ def test_model_header_holding_a_non_finite_literal_exits_2(workspace, capsys):
     assert "model header is not JSON: non-finite number -Infinity" in err
 
 
+# JSON nested far deeper than the interpreter's recursion limit allows, and
+# an integer longer than int()'s 4,300-digit limit for a string
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
+_LONG_INTEGER = "9" * 5001
+
+
+def test_standoff_line_nested_too_deeply_exits_2(workspace, capsys):
+    line = {"doc_id": "d", "tokens": ["a"], "entities": [], "note": "<number>"}
+    corpus = workspace / "corpus.jsonl"
+    corpus.write_text("\n" + _with_number(line, _DEEP_JSON) + "\n")
+    report = workspace / "r.json"
+    code = main(
+        ["eval", str(corpus), str(corpus), "--format", "standoff", "--out", str(report)]
+    )
+    err = _assert_parse_error(code, capsys)
+    assert "line 2: invalid JSON: nested too deeply" in err
+    assert not report.exists()
+
+
+def test_report_nested_too_deeply_exits_2(workspace, capsys):
+    _, out = _eval(workspace)
+    responses = workspace / "responses.jsonl"
+    responses.write_text(
+        "".join(
+            json.dumps({"id": rid, "label": "problem", "confidence": 1.0}) + "\n"
+            for rid in _report_t5_ids(out)
+        )
+    )
+    doc = json.loads(out.read_text())
+    doc["note"] = "<number>"
+    out.write_text(_with_number(doc, _DEEP_JSON))
+    refined = workspace / "refined.json"
+    capsys.readouterr()
+    code = main(
+        ["refine", str(out), "--external-decisions", str(responses), "--out", str(refined)]
+    )
+    err = _assert_parse_error(code, capsys)
+    assert "invalid JSON: nested too deeply" in err
+    assert not refined.exists()
+
+
+def test_model_header_nested_too_deeply_exits_2(workspace, capsys):
+    _, out = _eval(workspace)
+    model = workspace / "deep.entcls"
+    header = _with_number({**_MODEL_HEADER, "note": "<number>"}, _DEEP_JSON)
+    model.write_bytes(_model_blob(header.encode()))
+    refined = workspace / "refined.json"
+    capsys.readouterr()
+    code = main(["refine", str(out), "--model", str(model), "--out", str(refined)])
+    err = _assert_parse_error(code, capsys)
+    assert "invalid JSON: nested too deeply" in err
+    assert not refined.exists()
+
+
+def test_response_confidence_past_the_digit_limit_exits_2(workspace, capsys):
+    _, out = _eval(workspace)
+    first, second = _report_t5_ids(out)
+    responses = workspace / "responses.jsonl"
+    lines = [
+        json.dumps({"id": first, "label": "problem", "confidence": 1.0}),
+        _with_number({"id": second, "label": "problem", "confidence": "<number>"},
+                     _LONG_INTEGER),
+    ]
+    responses.write_text("\n".join(lines) + "\n")
+    refined = workspace / "refined.json"
+    capsys.readouterr()
+    code = main(
+        ["refine", str(out), "--external-decisions", str(responses), "--out", str(refined)]
+    )
+    err = _assert_parse_error(code, capsys)
+    assert "line 2: invalid JSON: an integer of more than 4300 digits" in err
+    assert len(err) < 200
+    assert not refined.exists()
+
+
 def test_json_writers_refuse_non_finite_numbers(tmp_path):
     # a refusal creates no file and leaves an existing one as it was
     objects = [{"a": 1}, {"confidence": float("nan")}]
@@ -1868,3 +1943,51 @@ def test_numpy_is_loaded_only_where_the_model_runs(fuzz_inputs, command):
     if argv:
         assert int(lines[-2]) == EXIT_OK, result.stderr
     assert lines[-1] == str(loads_numpy)
+
+
+# ---------------------------------------------------------------------------
+# the model commands load OpenBLAS with one thread
+
+_THREADS_CHILD = (
+    "import os, sys\n"
+    "if sys.argv[1:]:\n"
+    "    from entmatch.cli import main\n"
+    "    code = main(sys.argv[1:])\n"
+    "else:\n"
+    "    import numpy\n"
+    "    code = 0\n"
+    "with open('/proc/self/status') as fh:\n"
+    "    threads = next(line.split()[1] for line in fh if line.startswith('Threads:'))\n"
+    "print(code, threads, 'OPENBLAS_NUM_THREADS' in os.environ)\n"
+)
+
+
+def _child_threads(cwd, argv, **variables):
+    """Run ``argv`` (or a bare ``import numpy``) in a fresh interpreter whose
+    only OpenBLAS thread variables are ``variables``: its exit code, its
+    thread count afterwards, and whether ``OPENBLAS_NUM_THREADS`` is then set
+    in its ``os.environ``."""
+    blas = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in _child_env().items() if k not in blas}
+    result = subprocess.run(
+        [sys.executable, "-c", _THREADS_CHILD, *argv],
+        cwd=cwd, env={**env, **variables}, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    code, threads, leaked = result.stdout.split()[-3:]
+    return int(code), int(threads), leaked == "True"
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="reads Threads: from /proc"
+)
+@pytest.mark.parametrize("command", ["train-cls", "refine-model"])
+def test_model_commands_load_openblas_with_one_thread(fuzz_inputs, command):
+    argv = _NUMPY_COMMANDS[command][0]
+    assert _child_threads(fuzz_inputs.base, argv) == (EXIT_OK, 1, False)
+    # a count the user chose is kept: the command runs as many threads as a
+    # bare import of numpy does under the same variable
+    _, chosen, _ = _child_threads(fuzz_inputs.base, [], OMP_NUM_THREADS="2")
+    assert _child_threads(fuzz_inputs.base, argv, OMP_NUM_THREADS="2") == (
+        EXIT_OK, chosen, False,
+    )

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import logging
 import random
+import string
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from entmatch.clsdata import (
     BuilderConfig,
     LabeledText,
     Origin,
+    _is_punctuation,
     build_training_set,
     extract_pairs,
     harvest_chunks,
@@ -21,7 +23,7 @@ from entmatch.clsdata import (
     write_pairs,
 )
 from entmatch.corpus import Corpus, build_document
-from oracle import random_paired_corpus
+from oracle import oracle_is_punctuation, random_paired_corpus
 
 
 def _corpus(*docs):
@@ -82,6 +84,18 @@ def test_chunker_splits_at_punctuation():
     config = BuilderConfig(stopwords=frozenset())
     corpus = _corpus(_doc("a", [["alpha", ",", "beta"]]))
     assert harvest_chunks(corpus, config) == ["alpha", "beta"]
+
+
+@given(
+    st.text(
+        st.sampled_from(string.punctuation)
+        | st.sampled_from(string.ascii_letters + string.digits + string.whitespace)
+        | st.characters(min_codepoint=0x80),
+        max_size=8,
+    )
+)
+def test_punctuation_test_matches_the_per_character_oracle(text):
+    assert _is_punctuation(text) is oracle_is_punctuation(text)
 
 
 def test_chunker_trims_edge_digit_tokens():
