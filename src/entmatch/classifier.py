@@ -73,6 +73,11 @@ class Verdict(Enum):
     REJECT = "reject"
 
 
+# Enum.value is a Python property, and Verdict(value) a Python call
+_VERDICTS = {v.value: v for v in Verdict}
+_VERDICT_VALUES = {v: v.value for v in Verdict}
+
+
 @dataclass(slots=True)
 class Decision:
     """Accept/reject verdict for one Type-5 record.
@@ -655,7 +660,7 @@ def write_decisions(decisions: Mapping[str, Decision], path: str | Path) -> None
         label = d.predicted_label
         lines.append(
             f'{{"record_id": {encode_basestring(d.record_id)}, '
-            f'"verdict": "{d.verdict.value}", '
+            f'"verdict": "{_VERDICT_VALUES[d.verdict]}", '
             f'"predicted_label": {"null" if label is None else encode_basestring(label)}, '
             f'"confidence": {_confidence_json(d.confidence)}}}\n'
         )
@@ -670,11 +675,10 @@ def read_decisions(path: str | Path, report: MatchReport) -> dict[str, Decision]
         rid = check_type5_id(
             obj.get("record_id"), type5_ids, decisions, "decision", line_no
         )
-        verdict = obj.get("verdict")
-        try:
-            verdict = Verdict(verdict)
-        except ValueError:
-            raise ParseError(f"invalid verdict {verdict!r}", line_no) from None
+        raw = obj.get("verdict")
+        verdict = _VERDICTS.get(raw) if type(raw) is str else None
+        if verdict is None:
+            raise ParseError(f"invalid verdict {raw!r}", line_no)
         label = obj.get("predicted_label")
         if label is not None and not isinstance(label, str):
             raise ParseError(f"invalid predicted label {label!r}", line_no)

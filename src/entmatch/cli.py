@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import importlib
 import json
 import os
@@ -23,25 +22,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import __version__
-from .classifier import (
-    LOW_CONFIDENCE,
-    ClassifierModel,
-    Decision,
-    TrainConfig,
-    Verdict,
-    decide_type5,
-    load_external_decisions,
-    read_decisions,
-    train,
-    write_decisions,
-)
-from .clsdata import (
-    BuilderConfig,
-    build_training_set,
-    ingest_external_chunks,
-    read_pairs,
-    write_pairs,
-)
 from .corpus import (
     AlignmentError,
     Corpus,
@@ -56,14 +36,6 @@ from .corpus import (
     parse_iob,
     parse_standoff,
     serialize_standoff,
-)
-from .judgement import (
-    UserProfile,
-    agreement,
-    human_f,
-    load_judgements,
-    metric_error,
-    score_distribution,
 )
 from .matcher import (
     MatchReport,
@@ -84,7 +56,64 @@ from .metrics import (
     metric_suite,
     relaxed_f,
 )
-from .perturb import PerturbationPlan, perturb, write_expected_ledger
+
+# The names this module takes from the submodules that only some commands
+# run. Each is bound in this namespace on first need: by ``_bind``, which
+# a command calls before it runs, or by ``__getattr__``, when code outside
+# reads the name. Binding never replaces a name already bound, so a wrapper
+# installed with ``setattr`` (a tracer's, a test's) is the function the
+# commands call.
+_LAZY = {
+    "classifier": (
+        "LOW_CONFIDENCE",
+        "ClassifierModel",
+        "Decision",
+        "TrainConfig",
+        "Verdict",
+        "decide_type5",
+        "load_external_decisions",
+        "read_decisions",
+        "train",
+        "write_decisions",
+    ),
+    "clsdata": (
+        "BuilderConfig",
+        "build_training_set",
+        "ingest_external_chunks",
+        "read_pairs",
+        "write_pairs",
+    ),
+    "judgement": (
+        "UserProfile",
+        "agreement",
+        "human_f",
+        "load_judgements",
+        "metric_error",
+        "score_distribution",
+    ),
+    "perturb": ("PerturbationPlan", "perturb", "write_expected_ledger"),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def _bind(*modules: str) -> None:
+    """Import ``modules`` and bind the names of each that are not yet bound."""
+    namespace = globals()
+    for module in modules:
+        source = importlib.import_module(f"{__package__}.{module}")
+        for name in _LAZY[module]:
+            if name not in namespace:
+                namespace[name] = getattr(source, name)
+
+
+def __getattr__(name: str) -> object:
+    # PEP 562: called only for a name this module has not bound
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(module)
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -307,13 +336,20 @@ def _write_report(doc: dict, out_path: str, markdown: str | None) -> None:
 # corpus loading
 
 
-def _load_corpus(path: str, fmt: str, scheme: str) -> tuple[Corpus, str]:
-    """The corpus in ``path`` and the sha256 of the bytes it was parsed from."""
+def _load_corpus(
+    path: str, fmt: str, scheme: str, digest: bool = False
+) -> tuple[Corpus, str | None]:
+    """The corpus in ``path`` and, with ``digest``, the sha256 of the bytes
+    it was parsed from."""
     data = Path(path).read_bytes()
     if fmt == "standoff":
         corpus = parse_standoff(data)
     else:
         corpus = parse_iob(data, TagScheme(scheme))
+    if not digest:
+        return corpus, None
+    import hashlib  # only eval, which reports its inputs' digests, loads it
+
     return corpus, hashlib.sha256(data).hexdigest()
 
 
@@ -339,6 +375,8 @@ def _load_report(
         raise ParseError("report must be a JSON object")
     try:
         surrogate = has_lone_surrogate(doc, allow_nan=False)
+    except ParseError as exc:  # nested too deeply to encode again
+        raise ParseError(f"report is not JSON: {exc}") from None
     except ValueError:
         raise ParseError("report holds a number that is not finite") from None
     if surrogate:
@@ -389,8 +427,8 @@ def _import_numpy_single_threaded() -> None:
 def _cmd_eval(args: argparse.Namespace) -> int:
     ledger_path = args.ledger or str(Path(args.out).with_suffix(".ledger.jsonl"))
     _check_outputs(_report_outputs(args, ledger_path), [args.gold, args.pred])
-    gold, gold_sha256 = _load_corpus(args.gold, args.format, args.scheme)
-    pred, pred_sha256 = _load_corpus(args.pred, args.format, args.scheme)
+    gold, gold_sha256 = _load_corpus(args.gold, args.format, args.scheme, digest=True)
+    pred, pred_sha256 = _load_corpus(args.pred, args.format, args.scheme, digest=True)
     corpus = pair_corpora(gold, pred)
     report = classify_corpus(corpus)
     write_ledger(report, ledger_path)
@@ -419,6 +457,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_build_clsdata(args: argparse.Namespace) -> int:
+    _bind("clsdata")
     _check_outputs([args.out], [args.train, args.chunks, args.stopwords])
     corpus, _ = _load_corpus(args.train, args.format, args.scheme)
     stopwords = None
@@ -444,6 +483,7 @@ def _cmd_build_clsdata(args: argparse.Namespace) -> int:
 
 
 def _cmd_train_cls(args: argparse.Namespace) -> int:
+    _bind("classifier", "clsdata")
     _check_outputs([args.out], [args.pairs])
     pairs = read_pairs(args.pairs)
     config = TrainConfig(
@@ -461,6 +501,7 @@ def _cmd_train_cls(args: argparse.Namespace) -> int:
 
 
 def _cmd_refine(args: argparse.Namespace) -> int:
+    _bind("classifier")
     decisions_path = args.decisions_out or str(
         Path(args.out).with_suffix(".decisions.jsonl")
     )
@@ -498,6 +539,7 @@ def _cmd_refine(args: argparse.Namespace) -> int:
 
 
 def _cmd_judge(args: argparse.Namespace) -> int:
+    _bind("classifier", "judgement")
     outputs = _report_outputs(args)
     _check_outputs(outputs, [args.report, args.judgements, args.decisions, args.ledger])
     doc, report = _load_report(args.report, args.ledger, outputs)
@@ -568,6 +610,7 @@ def _cmd_judge(args: argparse.Namespace) -> int:
 
 
 def _cmd_perturb(args: argparse.Namespace) -> int:
+    _bind("perturb")
     prefix = Path(args.out_prefix)
     gold_path = prefix.with_name(prefix.name + ".gold.jsonl")
     pred_path = prefix.with_name(prefix.name + ".pred.jsonl")

@@ -11,7 +11,6 @@ entity classes.
 
 from __future__ import annotations
 
-import logging
 import string
 from dataclasses import dataclass, field
 from enum import Enum
@@ -21,8 +20,6 @@ from random import Random
 from typing import Iterable, Sequence
 
 from .corpus import Corpus, Document, ParseError, decode_utf8, read_jsonl, write_lines
-
-log = logging.getLogger(__name__)
 
 OTHER_LABEL = "other"
 
@@ -147,7 +144,9 @@ def sample_other(
     cap = other_cap(pairs)
     k = min(cap, len(candidates))
     if k < cap:
-        log.warning(
+        import logging  # only here: a run that logs nothing skips it
+
+        logging.getLogger(__name__).warning(
             "only %d chunk candidates for an 'other' cap of %d; taking all",
             len(candidates),
             cap,

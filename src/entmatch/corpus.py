@@ -16,9 +16,10 @@ into a value and ``parse_json_line`` one line into a JSON object,
 ``read_jsonl`` yields that object for each non-blank line (each raises
 ``ParseError`` for bad input, JSON nested too deeply to decode or an integer
 too long to convert included), and ``is_int`` tells a JSON integer from
-``true``/``false``. ``read_jsonl`` decodes a plain line (a JSON object from
-its first to its last character) with the decoder's ``scan_once`` alone, and
-sends every other line through ``parse_json_line``. No reader accepts
+``true``/``false``. ``scan_jsonl`` decodes a plain line (a JSON object from
+its first to its last character) with the decoder's ``scan_once`` alone, for
+``read_jsonl`` and the judgement reader, which send every other line through
+their own checks. No reader accepts
 ``NaN``, ``Infinity`` or ``-Infinity``, which RFC 8259 does not allow, and no
 writer emits them.
 
@@ -34,7 +35,6 @@ all its lines before ``write_lines`` opens its file.
 from __future__ import annotations
 
 import json
-import logging
 import re
 import sys
 from dataclasses import dataclass
@@ -44,8 +44,6 @@ from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NoReturn, Sequence
-
-log = logging.getLogger(__name__)
 
 _IOB_TAG_RE = re.compile(r"([BI])-(.*)\Z", re.DOTALL)
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
@@ -88,17 +86,17 @@ def decode_utf8(content: bytes | str, what: str) -> str:
         raise ParseError(f"{what} is not valid UTF-8: {exc}") from None
 
 
-def read_jsonl(content: bytes | str, what: str) -> Iterator[tuple[int, dict]]:
-    """Yield ``(line number, object)`` for each non-blank line of a JSONL input.
+def scan_jsonl(text: str) -> Iterator[tuple[int, str, dict | None]]:
+    """Yield ``(line number, line, object)`` for each line of a JSONL text.
 
-    A line that is one JSON object from its first to its last character is
-    decoded by the decoder's C ``scan_once`` alone. Every other line (blank
-    or padded, a byte order mark, a non-object, bad JSON, ``NaN``) goes
-    through ``parse_json_line``, which words its error. ``scan_once`` does
-    not look for lone surrogates, so in a file that holds a surrogate escape
-    every line goes through ``parse_json_line``.
+    The object is that of a line that is one JSON object from its first to
+    its last character, decoded by the decoder's C ``scan_once`` alone; for
+    every other line (blank or padded, a byte order mark, a non-object, bad
+    JSON, ``NaN``) it is None, and the caller sends the line through its own
+    path, which words its error. ``scan_once`` does not look for lone
+    surrogates, so in a text that holds a surrogate escape it is None for
+    every line.
     """
-    text = decode_utf8(content, what)
     scan = None if _SURROGATE_ESCAPE_RE.search(text) else _JSON_DECODER.scan_once
     for line_no, line in enumerate(text.split("\n"), 1):
         if scan is not None:
@@ -108,9 +106,21 @@ def read_jsonl(content: bytes | str, what: str) -> Iterator[tuple[int, dict]]:
                 pass
             else:
                 if end == len(line) and type(obj) is dict:
-                    yield line_no, obj
+                    yield line_no, line, obj
                     continue
-        if line.strip():
+        yield line_no, line, None
+
+
+def read_jsonl(content: bytes | str, what: str) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, object)`` for each non-blank line of a JSONL input.
+
+    ``scan_jsonl`` decodes each plain line; every other line goes through
+    ``parse_json_line``.
+    """
+    for line_no, line, obj in scan_jsonl(decode_utf8(content, what)):
+        if obj is not None:
+            yield line_no, obj
+        elif line.strip():
             yield line_no, parse_json_line(line, line_no, what)
 
 
@@ -149,7 +159,7 @@ def parse_json_line(line: str, line_no: int, what: str) -> dict:
         raise ParseError(f"invalid JSON: {exc}", line_no) from None
     if not isinstance(obj, dict):
         raise ParseError(f"{what} line must be a JSON object", line_no)
-    if _SURROGATE_ESCAPE_RE.search(line) and has_lone_surrogate(obj):
+    if _SURROGATE_ESCAPE_RE.search(line) and has_lone_surrogate(obj, line=line_no):
         raise ParseError(f"{what} line holds a lone UTF-16 surrogate", line_no)
     return obj
 
@@ -175,14 +185,22 @@ def write_lines(lines: list[str], path: str | Path) -> None:
         fh.writelines(lines)
 
 
-def has_lone_surrogate(value: object, allow_nan: bool = True) -> bool:
+def has_lone_surrogate(
+    value: object, allow_nan: bool = True, line: int | None = None
+) -> bool:
     """Whether a decoded JSON value holds a lone UTF-16 surrogate.
 
     JSON may escape one (``"\\ud800"``), but no UTF-8 output can encode it.
     With ``allow_nan=False`` a float that is not finite raises ``ValueError``.
+    The encoder needs a little more stack per level than the decoder, so a
+    value nested to just under the decoder's limit raises the ``ParseError``
+    that ``decode_json`` raises for one nested deeper (naming ``line``).
     """
-    # ensure_ascii=False leaves a lone surrogate in the text as it is
-    text = json.dumps(value, ensure_ascii=False, allow_nan=allow_nan)
+    try:
+        # ensure_ascii=False leaves a lone surrogate in the text as it is
+        text = json.dumps(value, ensure_ascii=False, allow_nan=allow_nan)
+    except RecursionError:  # nested to just under the decoder's limit
+        raise ParseError("invalid JSON: nested too deeply", line) from None
     return _SURROGATE_RE.search(text) is not None
 
 
@@ -423,7 +441,9 @@ def parse_iob(
             spans[-1][1] += 1
         else:
             if inside and iob2:
-                log.warning(
+                import logging  # only here: a run that logs nothing skips it
+
+                logging.getLogger(__name__).warning(
                     "line %d: orphan tag I-%s repaired to B-%s", line_no, label, label
                 )
             spans.append([len(tokens), len(tokens) + 1, label])

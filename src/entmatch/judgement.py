@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .classifier import LOW_CONFIDENCE, Decision, Verdict, check_type5_id
-from .corpus import ParseError, decode_utf8, is_int, parse_json_line
+from .corpus import ParseError, decode_utf8, is_int, parse_json_line, scan_jsonl
 from .matcher import MatchReport
 from .metrics import PRF, check_covered, refined_f
 
@@ -47,16 +47,26 @@ def load_judgements(path: str | Path, report: MatchReport) -> list[JudgementReco
     """Read judgements as line-delimited JSON or two-column TSV.
 
     Every record id must name a Type-5 record of the report; duplicate ids
-    and out-of-range scores are rejected.
+    and out-of-range scores are rejected. A line whose first non-blank
+    character is ``{`` is JSON; ``scan_jsonl`` decodes a plain one.
     """
     text = decode_utf8(Path(path).read_bytes(), "judgement file")
     type5_ids = {r.record_id for r in report.type5_records()}
     records: list[JudgementRecord] = []
     seen: set[str] = set()
-    for line_no, line in enumerate(text.split("\n"), 1):
-        if not line.strip():
-            continue
-        raw_id, score = _parse_judgement_line(line, line_no)
+    for line_no, line, obj in scan_jsonl(text):
+        if obj is None:
+            if not line.strip():
+                continue
+            if line.lstrip().startswith("{"):
+                obj = parse_json_line(line, line_no, "judgement file")
+            else:
+                raw_id, score = _parse_tsv_line(line, line_no)
+        if obj is not None:
+            score = obj.get("score")
+            if not is_int(score):
+                raise ParseError(f"score must be an integer, got {score!r}", line_no)
+            raw_id = obj.get("record_id")
         record_id = check_type5_id(raw_id, type5_ids, seen, "judgement", line_no)
         seen.add(record_id)
         try:
@@ -66,14 +76,8 @@ def load_judgements(path: str | Path, report: MatchReport) -> list[JudgementReco
     return records
 
 
-def _parse_judgement_line(line: str, line_no: int) -> tuple[object, int]:
-    if line.lstrip().startswith("{"):
-        obj = parse_json_line(line, line_no, "judgement file")
-        score = obj.get("score")
-        if not is_int(score):
-            raise ParseError(f"score must be an integer, got {score!r}", line_no)
-        return obj.get("record_id"), score
-    parts = line.rstrip("\n").split("\t")
+def _parse_tsv_line(line: str, line_no: int) -> tuple[str, int]:
+    parts = line.split("\t")
     if len(parts) != 2:
         raise ParseError(
             f"expected 2 tab-separated columns, got {len(parts)}", line_no

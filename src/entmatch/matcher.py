@@ -302,7 +302,7 @@ def _mention_from_obj(
 
 
 _KINDS = {k.value: k for k in MismatchType}
-_KIND_VALUES = {k: k.value for k in MismatchType}  # Enum.value is a Python property
+KIND_VALUES = {k: k.value for k in MismatchType}  # Enum.value is a Python property
 
 _SIDES_BY_KIND = {
     MismatchType.EXACT_MATCH: (True, True),
@@ -325,7 +325,7 @@ def write_ledger(report: MatchReport, path: str | Path) -> None:
         fh.writelines(
             f'{{"record_id": {encode_basestring(r.record_id)}, '
             f'"doc_id": {encode_basestring(r.doc_id)}, '
-            f'"kind": "{_KIND_VALUES[r.kind]}", '
+            f'"kind": "{KIND_VALUES[r.kind]}", '
             f'"pred": {_mention_json(r.pred)}, '
             f'"gold": {_mention_json(r.gold)}, '
             f'"overlap_tokens": {r.overlap_tokens}}}\n'

@@ -18,10 +18,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Container, Iterable, Mapping
+from typing import TYPE_CHECKING, Container, Iterable, Mapping
 
-from .classifier import Decision, Verdict
 from .matcher import GoldKey, MatchReport, MismatchType, kinds_mask
+
+# the classifier is imported where decisions are scored, so that ``eval``,
+# which scores none, does not load it
+if TYPE_CHECKING:
+    from .classifier import Decision
 
 
 class Convention(Enum):
@@ -191,6 +195,8 @@ def learning_based_scores(
 
     Requires a decision per Type-5 record.
     """
+    from .classifier import Verdict
+
     accepted = frozenset(
         rid
         for rid in check_covered(report, decisions)

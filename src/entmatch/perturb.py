@@ -18,7 +18,13 @@ from pathlib import Path
 from random import Random
 
 from .corpus import Corpus, Document, EntityMention, write_lines
-from .matcher import MatchRecord, MatchReport, MismatchType, token_overlap
+from .matcher import (
+    KIND_VALUES,
+    MatchRecord,
+    MatchReport,
+    MismatchType,
+    token_overlap,
+)
 
 _EXACT = MismatchType.EXACT_MATCH
 _TYPE1 = MismatchType.TYPE1_FALSE_POSITIVE
@@ -195,7 +201,7 @@ def write_expected_ledger(report: MatchReport, path: str | Path) -> None:
     write_lines(
         [
             f'{{"doc_id": {encode_basestring(r.doc_id)}, '
-            f'"kind": "{r.kind.value}", '
+            f'"kind": "{KIND_VALUES[r.kind]}", '
             f'"pred": {_side_json(r.pred)}, "gold": {_side_json(r.gold)}}}\n'
             for r in report.records
         ],

@@ -1,7 +1,8 @@
 """Mutation check: every mutant of the matcher's spine, of scoring, of the
 classifier's featurizer and training loop, of its model's storage, of
-the line readers' and writers' plain-line paths, of the JSON gate and of
-the model commands' numpy import must fail its tests.
+the line readers' and writers' plain-line paths, of the JSON gate, of
+the model commands' numpy import and of the CLI's lazy name binding must
+fail its tests.
 
     python3 tests/mutants.py            # run every mutant
     python3 tests/mutants.py NAME ...   # run the named mutants only
@@ -78,6 +79,7 @@ _CLASSIFIER_ORACLE = "tests/test_classifier.py::test_train_and_decide_match_the_
 _IOB_ORACLE = "tests/test_corpus.py::test_iob_reader_matches_the_two_pass_oracle"
 _JSONL_ORACLE = "tests/test_readers.py::test_jsonl_reader_matches_the_line_by_line_oracle"
 _LEDGER_ORACLE = "tests/test_readers.py::test_ledger_reader_matches_the_line_by_line_oracle"
+_JUDGEMENT_ORACLE = "tests/test_readers.py::test_judgement_reader_matches_the_line_by_line_oracle"
 
 MUTANTS = [
     Mutant(
@@ -369,7 +371,7 @@ MUTANTS = [
         "jsonl-scan-without-end-of-line-check",
         "                if end == len(line) and type(obj) is dict:\n",
         "                if type(obj) is dict:\n",
-        (_JSONL_ORACLE, _LEDGER_ORACLE),
+        (_JSONL_ORACLE, _LEDGER_ORACLE, _JUDGEMENT_ORACLE),
     ),
     Mutant(
         "parser-skips-the-named-command",
@@ -427,6 +429,29 @@ MUTANTS = [
             "tests/test_cli.py::test_report_nested_too_deeply_exits_2",
             "tests/test_cli.py::test_model_header_nested_too_deeply_exits_2",
         ),
+    ),
+    Mutant(
+        "surrogate-check-without-recursion-mapping",
+        "    try:\n"
+        "        # ensure_ascii=False leaves a lone surrogate in the text as it is\n"
+        "        text = json.dumps(value, ensure_ascii=False, allow_nan=allow_nan)\n"
+        "    except RecursionError:  # nested to just under the decoder's limit\n"
+        '        raise ParseError("invalid JSON: nested too deeply", line) from None\n',
+        "    text = json.dumps(value, ensure_ascii=False, allow_nan=allow_nan)\n",
+        ("tests/test_cli.py::test_input_nested_to_the_decoders_limit_exits_0_or_2",),
+    ),
+    Mutant(
+        "bind-replaces-a-bound-name",
+        "            if name not in namespace:\n"
+        "                namespace[name] = getattr(source, name)\n",
+        "            namespace[name] = getattr(source, name)\n",
+        ("tests/test_cli.py::test_a_wrapper_set_on_cli_is_the_function_the_command_calls",),
+    ),
+    Mutant(
+        "getattr-returns-without-binding",
+        "    _bind(module)\n    return globals()[name]\n",
+        '    return getattr(importlib.import_module(f"{__package__}.{module}"), name)\n',
+        ("tests/test_cli.py::test_a_lazy_cli_name_is_its_modules_object",),
     ),
 ]
 

@@ -12,10 +12,11 @@ library's tallies replaced, both kept as they were. ``oracle_train`` and
 ``oracle_decide_type5`` are the classifier's training and Type-5 decision
 loops as they were when a per-text ``_Featurizer`` held one pair of arrays
 per text and ``train`` one trio per pair, kept as they were.
-``oracle_read_jsonl`` and ``oracle_read_ledger`` are the JSONL and record
-ledger readers that sent every line through ``parse_json_line`` and every
-mention through ``_mention_from_obj``, and ``oracle_is_punctuation`` the
-chunker's per-character punctuation test, kept as they were. Tests compare
+``oracle_read_jsonl``, ``oracle_read_ledger`` and ``oracle_load_judgements``
+are the JSONL, record ledger and judgement readers that sent every JSON line
+through ``parse_json_line`` and every mention through ``_mention_from_obj``,
+and ``oracle_is_punctuation`` the chunker's per-character punctuation test,
+kept as they were. Tests compare
 library output against these.
 """
 
@@ -44,6 +45,7 @@ from entmatch.classifier import (
     _hash64,
     _nonzero_rows,
     _softmax,
+    check_type5_id,
 )
 
 from entmatch.corpus import (
@@ -58,6 +60,7 @@ from entmatch.corpus import (
     is_int,
     parse_json_line,
 )
+from entmatch.judgement import JudgementRecord
 from entmatch.matcher import GoldKey, MatchRecord, MatchReport, MismatchType
 from entmatch.metrics import PRF, Convention
 
@@ -918,3 +921,42 @@ def oracle_read_ledger(path: str | Path) -> MatchReport:
             raise ParseError("invalid 'overlap_tokens'", line_no)
         records.append(MatchRecord(record_id, doc_id, kind, pred, gold, overlap))
     return MatchReport.from_records(records)
+
+
+def oracle_load_judgements(path: str | Path, report: MatchReport) -> list[JudgementRecord]:
+    """Read judgements as line-delimited JSON or two-column TSV."""
+    text = decode_utf8(Path(path).read_bytes(), "judgement file")
+    type5_ids = {r.record_id for r in report.type5_records()}
+    records: list[JudgementRecord] = []
+    seen: set[str] = set()
+    for line_no, line in enumerate(text.split("\n"), 1):
+        if not line.strip():
+            continue
+        raw_id, score = _parse_judgement_line(line, line_no)
+        record_id = check_type5_id(raw_id, type5_ids, seen, "judgement", line_no)
+        seen.add(record_id)
+        try:
+            records.append(JudgementRecord(record_id, score))
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no) from None
+    return records
+
+
+def _parse_judgement_line(line: str, line_no: int) -> tuple[object, int]:
+    if line.lstrip().startswith("{"):
+        obj = parse_json_line(line, line_no, "judgement file")
+        score = obj.get("score")
+        if not is_int(score):
+            raise ParseError(f"score must be an integer, got {score!r}", line_no)
+        return obj.get("record_id"), score
+    parts = line.rstrip("\n").split("\t")
+    if len(parts) != 2:
+        raise ParseError(
+            f"expected 2 tab-separated columns, got {len(parts)}", line_no
+        )
+    record_id, score_text = parts[0].strip(), parts[1].strip()
+    try:
+        score = int(score_text)
+    except ValueError:
+        raise ParseError(f"score must be an integer, got {score_text!r}", line_no) from None
+    return record_id, score

@@ -25,11 +25,20 @@ from entmatch.cli import (
     EXIT_UNCOVERED,
     EXIT_USAGE,
     _COMMANDS,
+    _LAZY_MODULE,
     _write_json,
     build_parser,
     main,
 )
-from entmatch.corpus import Corpus, Document, Source, serialize_standoff, write_jsonl
+from entmatch.corpus import (
+    Corpus,
+    Document,
+    ParseError,
+    Source,
+    decode_json,
+    serialize_standoff,
+    write_jsonl,
+)
 from oracle import random_paired_corpus
 
 LIVER_TOKENS = "1cm cyst in the right lobe of the liver".split()
@@ -1364,6 +1373,78 @@ def test_model_header_nested_too_deeply_exits_2(workspace, capsys):
     assert not refined.exists()
 
 
+def _decodable_depth() -> int:
+    """The deepest nested list ``decode_json`` decodes, called from here."""
+
+    def decodes(depth: int) -> bool:
+        try:
+            decode_json("[" * depth + "]" * depth)
+        except ParseError:
+            return False
+        return True
+
+    low, high = 1, sys.getrecursionlimit() + 100  # low decodes, high does not
+    assert decodes(low) and not decodes(high)
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (middle, high) if decodes(middle) else (low, middle)
+    return low
+
+
+@pytest.mark.parametrize("command", ["eval", "refine", "judge"])
+def test_input_nested_to_the_decoders_limit_exits_0_or_2(workspace, capsys, command):
+    # JSON's encoder needs a little more stack per level than its decoder, so
+    # a value nested to just under the decoder's limit decodes and then
+    # cannot be encoded again for the lone-surrogate check. The depths swept
+    # run from well inside the limit to past it; every one exits 0 or 2 with
+    # one line, and none writes a report after an error.
+    _, out = _eval(workspace)
+    ids = _report_t5_ids(out)
+    responses, judgements = workspace / "responses.jsonl", workspace / "judgements.tsv"
+    responses.write_text(
+        "".join(
+            json.dumps({"id": rid, "label": "problem", "confidence": 1.0}) + "\n"
+            for rid in ids
+        )
+    )
+    judgements.write_text("".join(f"{rid}\t4\n" for rid in ids))
+    doc = json.loads(out.read_text())
+    doc["note"] = "<number>"
+    line = {"doc_id": "d", "tokens": ["a"], "entities": [], "note": "<number>", "s": "\ud800"}
+    deep, written = workspace / "deep.json", workspace / "written.json"
+    argv = {
+        "eval": ["eval", str(deep), str(deep), "--format", "standoff"],
+        "refine": ["refine", str(deep), "--external-decisions", str(responses)],
+        "judge": ["judge", str(deep), str(judgements)],
+    }[command] + ["--out", str(written)]
+    limit = _decodable_depth()
+    codes, errors = set(), set()
+    for depth in range(limit - 15, limit + 3):
+        nested = "[" * depth + "]" * depth
+        deep.write_text(_with_number(line if command == "eval" else doc, nested) + "\n")
+        written.unlink(missing_ok=True)
+        code = main(argv)
+        err = capsys.readouterr().err
+        codes.add(code)
+        if code == EXIT_OK:
+            assert command != "eval" and written.exists()
+            continue
+        assert code == EXIT_PARSE, (depth, err)
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert not written.exists()
+        errors.add(err.split(": ", 2)[-1].strip())
+    # the sweep reached both sides of the limit
+    if command == "eval":
+        assert codes == {EXIT_PARSE}
+        assert errors == {
+            "line 1: invalid JSON: nested too deeply",
+            "line 1: standoff file line holds a lone UTF-16 surrogate",
+        }
+    else:
+        assert codes == {EXIT_OK, EXIT_PARSE}
+        assert errors == {"report is not JSON: invalid JSON: nested too deeply"}
+
+
 def test_response_confidence_past_the_digit_limit_exits_2(workspace, capsys):
     _, out = _eval(workspace)
     first, second = _report_t5_ids(out)
@@ -1943,6 +2024,113 @@ def test_numpy_is_loaded_only_where_the_model_runs(fuzz_inputs, command):
     if argv:
         assert int(lines[-2]) == EXIT_OK, result.stderr
     assert lines[-1] == str(loads_numpy)
+
+
+# ---------------------------------------------------------------------------
+# each command imports what it runs, and binds the cli names it uses
+
+_MODULES_CHILD = (
+    "import json, sys\n"
+    "watched = sys.argv[1].split(',')\n"
+    "before = [m for m in watched if m in sys.modules]\n"
+    "import entmatch.cli\n"
+    "code = entmatch.cli.main(sys.argv[2:]) if sys.argv[2:] else 0\n"
+    "print(json.dumps([code, before, [m for m in watched if m in sys.modules]]))\n"
+)
+_WATCHED_MODULES = (
+    "entmatch.classifier",
+    "entmatch.clsdata",
+    "entmatch.judgement",
+    "entmatch.perturb",
+    "hashlib",
+    "logging",
+)
+# the watched modules loaded after each command of _NUMPY_COMMANDS
+_LOADED_MODULES = {
+    "import": set(),
+    "eval-iob": {"hashlib"},
+    "eval-standoff": {"hashlib"},
+    "build-clsdata": {"entmatch.clsdata"},
+    "perturb": {"entmatch.perturb"},
+    "refine-external": {"entmatch.classifier"},
+    "judge": {"entmatch.classifier", "entmatch.judgement"},
+    "train-cls": {"entmatch.classifier", "entmatch.clsdata"},
+    "refine-model": {"entmatch.classifier"},
+}
+
+
+def _modules_loaded_by(cwd, argv) -> tuple[set[str], set[str]]:
+    """The watched modules that ``argv`` (or a bare ``import entmatch.cli``)
+    loads in a fresh interpreter, and those loaded before entmatch was, of
+    which the child can tell nothing."""
+    result = subprocess.run(
+        [sys.executable, "-c", _MODULES_CHILD, ",".join(_WATCHED_MODULES), *argv],
+        cwd=cwd, env=_child_env(), capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    code, before, after = json.loads(result.stdout.splitlines()[-1])
+    assert code == EXIT_OK, result.stderr
+    return set(after) - set(before), set(before)
+
+
+@pytest.mark.parametrize("command", list(_LOADED_MODULES))
+def test_each_command_loads_only_the_modules_it_runs(fuzz_inputs, command):
+    loaded, preloaded = _modules_loaded_by(fuzz_inputs.base, _NUMPY_COMMANDS[command][0])
+    assert loaded == _LOADED_MODULES[command] - preloaded
+
+
+def test_logging_is_loaded_only_when_a_warning_is_logged(tmp_path):
+    (tmp_path / "plain.iob").write_text("a\tO\nb\tB-X\n")
+    (tmp_path / "orphan.iob").write_text("a\tO\nb\tI-X\n")  # repaired, with a warning
+    for name, logs in (("plain", False), ("orphan", True)):
+        argv = ["eval", f"{name}.iob", f"{name}.iob", "--out", f"{name}.json"]
+        loaded, preloaded = _modules_loaded_by(tmp_path, argv)
+        if "logging" not in preloaded:
+            assert ("logging" in loaded) is logs, name
+
+
+@pytest.mark.parametrize(
+    "name", sorted(_LAZY_MODULE), ids=lambda n: f"{_LAZY_MODULE[n]}.{n}"
+)
+def test_a_lazy_cli_name_is_its_modules_object(name):
+    # in a fresh interpreter, where nothing has bound it yet: the first read
+    # binds every name the cli takes from that module
+    child = (
+        "import sys\n"
+        "import entmatch.cli as cli\n"
+        "name, module = sys.argv[1], 'entmatch.' + sys.argv[2]\n"
+        "value = getattr(cli, name)\n"
+        "exec(f'from entmatch.cli import {name} as imported')\n"
+        "source = sys.modules[module]\n"
+        "names = cli._LAZY[sys.argv[2]]\n"
+        "print(value is getattr(source, name) is imported,"
+        " all(vars(cli)[n] is getattr(source, n) for n in names))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", child, name, _LAZY_MODULE[name]],
+        env=_child_env(), capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["True", "True"]
+
+
+def test_a_wrapper_set_on_cli_is_the_function_the_command_calls(
+    fuzz_inputs, monkeypatch, tmp_path
+):
+    # a tracer reads each layer function with getattr and puts a wrapper in
+    # its place with setattr; binding the command's modules keeps the wrapper
+    calls = []
+    train = entmatch.cli.train
+
+    def wrapper(pairs, config):
+        calls.append(len(pairs))
+        return train(pairs, config)
+
+    monkeypatch.setattr(entmatch.cli, "train", wrapper)
+    model = tmp_path / "model.entcls"
+    argv = ["train-cls", str(fuzz_inputs.base / "pairs.jsonl"), "--buckets", "64"]
+    assert main([*argv, "--out", str(model)]) == EXIT_OK
+    assert len(calls) == 1 and calls[0] > 0 and model.exists()
 
 
 # ---------------------------------------------------------------------------

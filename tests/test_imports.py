@@ -1,7 +1,7 @@
 """Every module of the package uses every name it imports; none loads numpy;
-the package root loads no submodule; ``import entmatch.cli`` loads no
-``statistics``; the per-record value classes are slotted and not frozen;
-one function raises ``UncoveredRecordsError``.
+the package root loads no submodule; ``import entmatch.cli`` loads only the
+modules every command runs; the per-record value classes are slotted and not
+frozen; one function raises ``UncoveredRecordsError``.
 
 Each ``src/entmatch`` module is parsed with ``ast``. A name counts as used
 when it is read anywhere in the module, annotations included, also inside
@@ -13,6 +13,12 @@ imported from its submodule, so the root re-exports nothing.
 numpy is imported only inside the functions that run the model, so a
 module-level ``import numpy`` anywhere in the package, ``__init__``
 included, is an error unless it sits under ``if TYPE_CHECKING:``.
+
+``import entmatch.cli`` loads ``corpus``, ``matcher`` and ``metrics`` from
+the package, and none of ``statistics``, ``hashlib``, ``logging`` or numpy:
+``cli`` imports the other submodules only for the commands that run them,
+binding the names it takes from them (its ``_LAZY`` table) on first need,
+and each standard-library module is imported where it is used.
 
 A class built once per mention, record or input line is a
 ``@dataclass(slots=True)`` without ``frozen=True``: a frozen dataclass
@@ -27,6 +33,7 @@ of that: no other function raises ``UncoveredRecordsError``.
 from __future__ import annotations
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -134,21 +141,56 @@ def test_package_root_loads_no_submodule():
 _CLI_CHILD = (
     "import sys\n"
     "sys.path.insert(0, sys.argv[1])\n"
+    "before = set(sys.modules)\n"
     "import entmatch.cli\n"
-    "print(sorted(m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules))\n"
+    "loaded = set(sys.modules) - before\n"
+    "print(sorted(m for m in loaded if m.startswith('entmatch.')))\n"
+    "print(sorted(m for m in loaded if m.split('.')[0] in sys.argv[2:]))\n"
 )
+# loaded only by the commands that use them: statistics (and the fractions
+# and decimal it loads) by judge's agreement stats, hashlib by eval, logging
+# by a warning, numpy by the model
+_UNLOADED_BY_CLI = ("statistics", "fractions", "decimal", "hashlib", "logging", "numpy")
 
 
 def test_cli_import_leaves_statistics_unloaded():
-    # statistics (and the fractions and decimal it loads) is imported by
-    # the one function that uses it, so commands without it skip the cost
     package_parent = str(Path(entmatch.__file__).parent.parent)
     result = subprocess.run(
-        [sys.executable, "-c", _CLI_CHILD, package_parent],
+        [sys.executable, "-c", _CLI_CHILD, package_parent, *_UNLOADED_BY_CLI],
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]", f"import entmatch.cli loaded {result.stdout}"
+    submodules, unloaded = result.stdout.splitlines()
+    assert submodules == str(
+        ["entmatch.cli", "entmatch.corpus", "entmatch.matcher", "entmatch.metrics"]
+    ), f"import entmatch.cli loaded {submodules}"
+    assert unloaded == "[]", f"import entmatch.cli loaded {unloaded}"
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The submodules a module imports when it is imported itself."""
+    return {
+        node.module
+        for node in _import_time_statements(tree.body)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+    }
+
+
+def test_cli_imports_only_what_every_command_runs():
+    tree = ast.parse((Path(entmatch.__file__).parent / "cli.py").read_text("utf-8"))
+    assert _package_imports(tree) == {"corpus", "matcher", "metrics"}
+    # metrics loads the classifier only where decisions are scored
+    tree = ast.parse((Path(entmatch.__file__).parent / "metrics.py").read_text("utf-8"))
+    assert "classifier" not in _package_imports(tree)
+
+
+def test_every_lazy_cli_name_exists_in_its_module_and_is_used():
+    cli = importlib.import_module("entmatch.cli")
+    used = _used(ast.parse(Path(cli.__file__).read_text("utf-8")))
+    for module, names in cli._LAZY.items():
+        source = importlib.import_module(f"entmatch.{module}")
+        assert [n for n in names if not hasattr(source, n)] == [], module
+        assert [n for n in names if n not in used] == [], module
 
 
 PER_RECORD_CLASSES = [

@@ -6,10 +6,10 @@ returns must survive the use the CLI makes of it. Arbitrary bytes are fed
 to each reader as well. A source scan keeps decoding, JSON-line parsing
 and the opening of output files in the shared helpers of ``entmatch.corpus``.
 
-``read_jsonl`` and ``read_ledger`` are compared with the readers they
-replaced (``oracle_read_jsonl``, ``oracle_read_ledger``) over mixes of plain
-and odd lines: each mix gives equal results, or the same ``ParseError``
-text and line.
+``read_jsonl``, ``read_ledger`` and ``load_judgements`` are compared with
+the readers they replaced (``oracle_read_jsonl``, ``oracle_read_ledger``,
+``oracle_load_judgements``) over mixes of plain and odd lines: each mix
+gives equal results, or the same ``ParseError`` text and line.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from entmatch.corpus import ParseError, parse_standoff, read_jsonl, serialize_st
 from entmatch.judgement import UserProfile, human_f, load_judgements
 from entmatch.matcher import MismatchType, classify_corpus, read_ledger
 from entmatch.metrics import UncoveredRecordsError, learning_based_scores, metric_suite
-from oracle import oracle_read_jsonl, oracle_read_ledger
+from oracle import oracle_load_judgements, oracle_read_jsonl, oracle_read_ledger
 
 # one document whose two mentions form a single Type-5 record, "d:0"
 STANDOFF_LINE = {
@@ -202,6 +202,10 @@ def test_input_files_are_decoded_and_split_in_one_place():
     assert _functions_containing("read_text(") == set()
 
 
+def test_lines_are_scanned_in_one_place():
+    assert _functions_containing(".scan_once") == {"corpus.scan_jsonl"}
+
+
 def test_output_files_are_opened_in_one_place():
     assert _functions_containing("open(") == {"corpus.open_output"}
     assert _functions_containing(".write_text(") == set()
@@ -323,3 +327,80 @@ def test_ledger_reader_matches_the_line_by_line_oracle(tmp_path_factory, lines, 
     path = tmp_path_factory.mktemp("ledger") / "report.ledger.jsonl"
     path.write_bytes(_content(lines, bom))
     assert _outcome(lambda: read_ledger(path)) == _outcome(lambda: oracle_read_ledger(path))
+
+
+# two Type-5 records, one per label
+JUDGED_REPORT = classify_corpus(
+    parse_standoff(
+        json.dumps(
+            {
+                "doc_id": "d",
+                "tokens": list("abcdefgh"),
+                "entities": [
+                    {"start": 1, "end": 3, "label": "X", "source": "gold"},
+                    {"start": 0, "end": 2, "label": "X", "source": "predicted"},
+                    {"start": 5, "end": 7, "label": "Y", "source": "gold"},
+                    {"start": 4, "end": 6, "label": "Y", "source": "predicted"},
+                ],
+            }
+        )
+    )
+)
+_JUDGED_IDS = [r.record_id for r in JUDGED_REPORT.type5_records()]
+# known ids, an unknown one and ids a JSON line escapes
+_RECORD_IDS = st.sampled_from((*_JUDGED_IDS, "d:9", "", "\u00e9", "\ud800"))
+_SCORES = st.integers(0, 6) | st.sampled_from(("3", 2.0, True, None))
+_JSON_JUDGEMENTS = st.builds(
+    lambda rid, score, flip, ascii_: json.dumps(
+        dict(reversed([("record_id", rid), ("score", score)]))
+        if flip
+        else {"record_id": rid, "score": score},
+        ensure_ascii=ascii_ or rid == "\ud800",
+    ),
+    _RECORD_IDS,
+    _SCORES,
+    st.booleans(),
+    st.booleans(),
+)
+_TSV_JUDGEMENTS = st.builds(
+    "{}{}{}".format,
+    st.sampled_from((*_JUDGED_IDS, "d:9", " d:0 ", "d:0\\ud800")),
+    st.sampled_from(("\t", " \t ", "\t\t", " ")),
+    st.sampled_from(("3", " 4 ", "1", "9", "x", "3.0", "+2", "\u0663", "")),
+)
+# padded, carriage-returned, cut and non-finite JSON judgements, a lone
+# surrogate escape and lines that are neither JSON nor TSV
+_ODD_JUDGEMENTS = st.sampled_from(
+    (
+        ' {"record_id": "d:0", "score": 3}',
+        '{"record_id": "d:0", "score": 3} ',
+        '{"record_id": "d:0", "score": 3}\r',
+        '{"record_id": "d:0", "score": NaN}',
+        '{"record_id": "\\ud800", "score": 3}',
+        '{"record_id": "d:0", "score": 3}{}',
+        '{"record_id":',
+        "{bad}",
+        "[1]",
+        "{}",
+        "d:0",
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(
+        st.one_of(_JSON_JUDGEMENTS, _JSON_JUDGEMENTS, _TSV_JUDGEMENTS, _ODD_JUDGEMENTS, _ODD_LINES),
+        max_size=6,
+    ),
+    bom=_BOMS,
+)
+@example(lines=['{"record_id": "d:0", "score": 3}', "d:1\t4"], bom=False)
+@example(lines=['{"record_id": "d:0", "score": 3}{}'], bom=False)
+@example(lines=['{"record_id": "d:0", "score": 3}', '{"record_id": "\\ud800", "score": 3}'], bom=False)
+def test_judgement_reader_matches_the_line_by_line_oracle(tmp_path_factory, lines, bom):
+    path = tmp_path_factory.mktemp("judgements") / "scores.jsonl"
+    path.write_bytes(_content(lines, bom))
+    assert _outcome(lambda: load_judgements(path, JUDGED_REPORT)) == _outcome(
+        lambda: oracle_load_judgements(path, JUDGED_REPORT)
+    )
