@@ -83,7 +83,7 @@ class Decision:
     """Accept/reject verdict for one Type-5 record.
 
     ``predicted_label`` and ``confidence`` are set when the verdict comes
-    from a classifier; verdicts derived from expert scores leave them None.
+    from a classifier; a decision file may leave them null (None).
     """
 
     record_id: str

@@ -31,11 +31,11 @@ from .corpus import (
     decode_json,
     decode_utf8,
     has_lone_surrogate,
-    open_output,
     pair_corpora,
     parse_iob,
     parse_standoff,
     serialize_standoff,
+    write_lines,
 )
 from .matcher import (
     MatchReport,
@@ -59,10 +59,10 @@ from .metrics import (
 
 # The names this module takes from the submodules that only some commands
 # run. Each is bound in this namespace on first need: by ``_bind``, which
-# a command calls before it runs, or by ``__getattr__``, when code outside
-# reads the name. Binding never replaces a name already bound, so a wrapper
-# installed with ``setattr`` (a tracer's, a test's) is the function the
-# commands call.
+# ``main`` calls with the modules of the command's ``_COMMANDS`` row before
+# it runs the command, or by ``__getattr__``, when code outside reads the
+# name. Binding never replaces a name already bound, so a wrapper installed
+# with ``setattr`` (a tracer's, a test's) is the function the commands call.
 _LAZY = {
     "classifier": (
         "LOW_CONFIDENCE",
@@ -218,15 +218,10 @@ def _decisions_section(
     }
 
 
-def _write_text(text: str, path: str | Path) -> None:
-    with open_output(path) as fh:
-        fh.write(text)
-
-
 def _write_json(doc: dict, path: str | Path) -> None:
     """Write ``doc``; a float that is not finite raises ``ValueError`` first."""
     text = json.dumps(doc, indent=2, ensure_ascii=False, allow_nan=False)
-    _write_text(text + "\n", path)
+    write_lines([text, "\n"], path)
 
 
 def _render_markdown(doc: dict) -> str:
@@ -329,7 +324,7 @@ def _write_report(doc: dict, out_path: str, markdown: str | None) -> None:
     """Write the JSON report and, given one, its markdown rendering."""
     _write_json(doc, out_path)
     if markdown is not None:
-        _write_text(markdown, Path(out_path).with_suffix(".md"))
+        write_lines([markdown], Path(out_path).with_suffix(".md"))
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +419,7 @@ def _import_numpy_single_threaded() -> None:
 # subcommands
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: argparse.Namespace) -> None:
     ledger_path = args.ledger or str(Path(args.out).with_suffix(".ledger.jsonl"))
     _check_outputs(_report_outputs(args, ledger_path), [args.gold, args.pred])
     gold, gold_sha256 = _load_corpus(args.gold, args.format, args.scheme, digest=True)
@@ -453,11 +448,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     relaxed = suite.overall[Convention.RELAXED]
     print(f"exact F1: {_pct(exact.f1)}  relaxed F1: {_pct(relaxed.f1)}")
     print(f"report: {args.out}  ledger: {ledger_path}")
-    return EXIT_OK
 
 
-def _cmd_build_clsdata(args: argparse.Namespace) -> int:
-    _bind("clsdata")
+def _cmd_build_clsdata(args: argparse.Namespace) -> None:
     _check_outputs([args.out], [args.train, args.chunks, args.stopwords])
     corpus, _ = _load_corpus(args.train, args.format, args.scheme)
     stopwords = None
@@ -479,11 +472,9 @@ def _cmd_build_clsdata(args: argparse.Namespace) -> int:
     write_pairs(pairs, args.out)
     labels = sorted({p.label for p in pairs})
     print(f"wrote {len(pairs)} pairs ({len(labels)} labels) to {args.out}")
-    return EXIT_OK
 
 
-def _cmd_train_cls(args: argparse.Namespace) -> int:
-    _bind("classifier", "clsdata")
+def _cmd_train_cls(args: argparse.Namespace) -> None:
     _check_outputs([args.out], [args.pairs])
     pairs = read_pairs(args.pairs)
     config = TrainConfig(
@@ -497,11 +488,9 @@ def _cmd_train_cls(args: argparse.Namespace) -> int:
     model.save(args.out)
     print(f"trained on {len(pairs)} pairs, labels: {', '.join(model.labels)}")
     print(f"model: {args.out}")
-    return EXIT_OK
 
 
-def _cmd_refine(args: argparse.Namespace) -> int:
-    _bind("classifier")
+def _cmd_refine(args: argparse.Namespace) -> None:
     decisions_path = args.decisions_out or str(
         Path(args.out).with_suffix(".decisions.jsonl")
     )
@@ -511,10 +500,13 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     )
     doc, report = _load_report(args.report, args.ledger, outputs)
     if args.model:
+        type5 = report.type5_records()
+        if blank := [r.record_id for r in type5 if not r.pred.text.strip()]:  # type: ignore[union-attr]
+            raise ParseError(f"Type-5 record {blank[0]!r} has a blank prediction text")
         _import_numpy_single_threaded()
         model = ClassifierModel.load(args.model)
         # a model that knows none of the Type-5 labels rejects every record
-        type5_labels = {r.pred.label for r in report.type5_records()}  # type: ignore[union-attr]
+        type5_labels = {r.pred.label for r in type5}  # type: ignore[union-attr]
         if type5_labels and type5_labels.isdisjoint(model.labels):
             raise ParseError(
                 f"model labels {list(model.labels)} include none of the report's "
@@ -535,11 +527,9 @@ def _cmd_refine(args: argparse.Namespace) -> int:
         f"{doc['decisions']['type5_total']} Type-5 records  "
         f"learning-based F1: {lb['f1_pct']}"
     )
-    return EXIT_OK
 
 
-def _cmd_judge(args: argparse.Namespace) -> int:
-    _bind("classifier", "judgement")
+def _cmd_judge(args: argparse.Namespace) -> None:
     outputs = _report_outputs(args)
     _check_outputs(outputs, [args.report, args.judgements, args.decisions, args.ledger])
     doc, report = _load_report(args.report, args.ledger, outputs)
@@ -606,11 +596,9 @@ def _cmd_judge(args: argparse.Namespace) -> int:
     _write_report(doc, args.out, _render_report(doc, args.render))
     for p, prf in human.items():
         print(f"{p.value} user F1: {_pct(prf.f1)}")
-    return EXIT_OK
 
 
-def _cmd_perturb(args: argparse.Namespace) -> int:
-    _bind("perturb")
+def _cmd_perturb(args: argparse.Namespace) -> None:
     prefix = Path(args.out_prefix)
     gold_path = prefix.with_name(prefix.name + ".gold.jsonl")
     pred_path = prefix.with_name(prefix.name + ".pred.jsonl")
@@ -629,13 +617,12 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
         insert_rate=args.insert_rate,
     )
     pred, expected = perturb(corpus, plan)
-    _write_text(serialize_standoff(corpus), gold_path)
-    _write_text(serialize_standoff(pred), pred_path)
+    write_lines([serialize_standoff(corpus)], gold_path)
+    write_lines([serialize_standoff(pred)], pred_path)
     write_expected_ledger(expected, expected_path)
     summary = "  ".join(f"{k.value}={expected.counts[k]}" for k in MismatchType)
     print(f"expected {summary}")
     print(f"gold: {gold_path}  pred: {pred_path}  expected: {expected_path}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +641,6 @@ def _eval_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default="report.json")
     sub.add_argument("--ledger", default=None)
     sub.add_argument("--render", choices=("none", "markdown"), default="none")
-    sub.set_defaults(func=_cmd_eval)
 
 
 def _build_clsdata_arguments(sub: argparse.ArgumentParser) -> None:
@@ -665,7 +651,6 @@ def _build_clsdata_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--chunks", default=None, help="precomputed chunk file, one per line")
     sub.add_argument("--stopwords", default=None, help="stopword file, one word per line")
     sub.add_argument("--out", default="pairs.jsonl")
-    sub.set_defaults(func=_cmd_build_clsdata)
 
 
 def _train_cls_arguments(sub: argparse.ArgumentParser) -> None:
@@ -675,7 +660,6 @@ def _train_cls_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--learning-rate", type=float, default=0.5)
     sub.add_argument("--buckets", type=int, default=1 << 20)
     sub.add_argument("--out", default="model.entcls")
-    sub.set_defaults(func=_cmd_train_cls)
 
 
 def _refine_arguments(sub: argparse.ArgumentParser) -> None:
@@ -687,7 +671,6 @@ def _refine_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--decisions-out", default=None)
     sub.add_argument("--out", default="refined.json")
     sub.add_argument("--render", choices=("none", "markdown"), default="none")
-    sub.set_defaults(func=_cmd_refine)
 
 
 def _judge_arguments(sub: argparse.ArgumentParser) -> None:
@@ -698,7 +681,6 @@ def _judge_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--ledger", default=None)
     sub.add_argument("--out", default="judged.json")
     sub.add_argument("--render", choices=("none", "markdown"), default="none")
-    sub.set_defaults(func=_cmd_judge)
 
 
 def _perturb_arguments(sub: argparse.ArgumentParser) -> None:
@@ -714,17 +696,21 @@ def _perturb_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--drop-rate", type=float, default=0.0)
     sub.add_argument("--insert-rate", type=float, default=0.0)
     sub.add_argument("--out-prefix", required=True)
-    sub.set_defaults(func=_cmd_perturb)
 
 
-# subcommand -> (its help line, the function that adds its arguments)
+# subcommand -> (help line, argument adder, runner, _LAZY modules it reads)
 _COMMANDS = {
-    "eval": ("match predictions and score them", _eval_arguments),
-    "build-clsdata": ("build classifier training pairs", _build_clsdata_arguments),
-    "train-cls": ("train the entity classifier", _train_cls_arguments),
-    "refine": ("apply Type-5 decisions to a report", _refine_arguments),
-    "judge": ("benchmark against expert judgements", _judge_arguments),
-    "perturb": ("generate a synthetic prediction corpus", _perturb_arguments),
+    "eval": ("match predictions and score them", _eval_arguments, _cmd_eval, ()),
+    "build-clsdata": ("build classifier training pairs", _build_clsdata_arguments,
+                      _cmd_build_clsdata, ("clsdata",)),
+    "train-cls": ("train the entity classifier", _train_cls_arguments,
+                  _cmd_train_cls, ("classifier", "clsdata")),
+    "refine": ("apply Type-5 decisions to a report", _refine_arguments,
+               _cmd_refine, ("classifier",)),
+    "judge": ("benchmark against expert judgements", _judge_arguments,
+              _cmd_judge, ("classifier", "judgement")),
+    "perturb": ("generate a synthetic prediction corpus", _perturb_arguments,
+                _cmd_perturb, ("perturb",)),
 }
 
 
@@ -740,7 +726,7 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
     parser = _Parser(prog="entmatch", description=__doc__)
     parser.add_argument("--version", action="version", version=f"entmatch {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_arguments) in _COMMANDS.items():
+    for name, (help_line, add_arguments, _, _) in _COMMANDS.items():
         sub = commands.add_parser(name, help=help_line)
         if argv is None or name in argv:
             add_arguments(sub)
@@ -755,6 +741,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    _, _, command, modules = _COMMANDS[args.command]
     # A command builds hundreds of thousands of objects (mentions, records,
     # parsed JSON) that form no reference cycles and live until it ends; the
     # cyclic collector would traverse them again and again and free almost
@@ -762,7 +749,9 @@ def main(argv: list[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        _bind(*modules)
+        command(args)
+        return EXIT_OK
     except UncoveredRecordsError as exc:
         print(f"entmatch: error: {exc}", file=sys.stderr)
         return EXIT_UNCOVERED

@@ -1,7 +1,8 @@
 """Mutation check: every mutant of the matcher's spine, of scoring, of the
 classifier's featurizer and training loop, of its model's storage, of
 the line readers' and writers' plain-line paths, of the JSON gate, of
-the model commands' numpy import and of the CLI's lazy name binding must
+the model commands' numpy import, of the CLI's command table and lazy name
+binding, and of the guards on model headers, reports and Type-5 texts must
 fail its tests.
 
     python3 tests/mutants.py            # run every mutant
@@ -452,6 +453,41 @@ MUTANTS = [
         "    _bind(module)\n    return globals()[name]\n",
         '    return getattr(importlib.import_module(f"{__package__}.{module}"), name)\n',
         ("tests/test_cli.py::test_a_lazy_cli_name_is_its_modules_object",),
+    ),
+    Mutant(
+        "refine-row-names-no-module",
+        '               _cmd_refine, ("classifier",)),\n',
+        "               _cmd_refine, ()),\n",
+        (
+            "tests/test_imports.py::test_each_command_row_names_the_lazy_modules_its_runner_reads",
+            "tests/test_cli.py::test_each_command_loads_only_the_modules_it_runs",
+        ),
+    ),
+    Mutant(
+        "main-binds-no-module",
+        "        _bind(*modules)\n",
+        "",
+        ("tests/test_cli.py::test_each_command_loads_only_the_modules_it_runs",),
+    ),
+    Mutant(
+        "model-header-newline-unchecked",
+        "        if newline < 0:\n",
+        "        if False:\n",
+        ("tests/test_cli.py::test_refine_with_defective_model_header_names_the_defect",),
+    ),
+    Mutant(
+        "report-surrogate-unchecked",
+        "    if surrogate:\n",
+        "    if False:\n",
+        ("tests/test_cli.py::test_report_holding_a_lone_surrogate_exits_2",),
+    ),
+    Mutant(
+        "refine-classifies-blank-text",
+        "        if blank := [r.record_id for r in type5 if not r.pred.text.strip()]:"
+        "  # type: ignore[union-attr]\n"
+        '            raise ParseError(f"Type-5 record {blank[0]!r} has a blank prediction text")\n',
+        "",
+        ("tests/test_cli.py::test_refine_with_model_on_blank_type5_text_exits_2",),
     ),
 ]
 

@@ -247,6 +247,17 @@ def test_eval_boolean_standoff_span_exits_2(workspace, capsys):
     _assert_parse_error(code, capsys)
 
 
+def test_eval_standoff_entities_not_a_list_exits_2(workspace, capsys):
+    line = {"doc_id": "d", "tokens": ["a", "b"], "entities": {}}
+    standoff, report = workspace / "gold.jsonl", workspace / "report.json"
+    standoff.write_text(json.dumps(line) + "\n")
+    code = main(
+        ["eval", str(standoff), str(standoff), "--format", "standoff", "--out", str(report)]
+    )
+    assert "line 1: 'entities' must be a list" in _assert_parse_error(code, capsys)
+    assert not report.exists()
+
+
 def test_eval_overlap_across_sources_of_one_file_exits_2(workspace, capsys):
     # the two entities parse onto different sides of the gold file's
     # document; pairing makes both gold mentions, and they overlap
@@ -692,6 +703,15 @@ def test_train_cls_that_diverges_exits_1(workspace, capsys, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_build_clsdata_with_no_chunk_tokens_exits_1(workspace, capsys):
+    pairs = workspace / "pairs.jsonl"
+    code = main(["build-clsdata", str(workspace / "gold.iob"),
+                 "--max-chunk-tokens", "0", "--out", str(pairs)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "entmatch: error: max_chunk_tokens must be >= 1\n"
+    assert not pairs.exists()
+
+
 def test_build_clsdata_on_whitespace_only_standoff_token_exits_2(workspace, capsys):
     # a gold entity over the token would become a training pair of blank text
     line = {
@@ -936,6 +956,38 @@ def test_refine_with_defective_model_header_exits_2(workspace, capsys, header):
 
 
 @pytest.mark.parametrize(
+    "blob, message",
+    [
+        (
+            b"ENTMATCH-CLS1\n" + json.dumps(_MODEL_HEADER).encode(),
+            "model header has no terminating newline",
+        ),
+        (
+            _model_blob(json.dumps({**_MODEL_HEADER, "labels": ["other", 5]}).encode()),
+            "model header field 'labels' must hold strings",
+        ),
+        (
+            # json.dumps escapes the surrogate as \ud800, which JSON allows
+            _model_blob(json.dumps({**_MODEL_HEADER, "labels": ["other", "\ud800"]}).encode()),
+            "model header labels hold a lone UTF-16 surrogate",
+        ),
+        (
+            _model_blob(json.dumps({**_MODEL_HEADER, "epochs": 0}).encode()),
+            "invalid model header: epochs must be >= 1",
+        ),
+    ],
+    ids=["no-newline", "non-string-label", "surrogate-label", "zero-epochs"],
+)
+def test_refine_with_defective_model_header_names_the_defect(workspace, capsys, blob, message):
+    _, out = _eval(workspace)
+    model = workspace / "bad.entcls"
+    model.write_bytes(blob)
+    capsys.readouterr()
+    code = main(["refine", str(out), "--model", str(model)])
+    assert message in _assert_parse_error(code, capsys)
+
+
+@pytest.mark.parametrize(
     "claim",
     [{"labels": ["problem"] * 10**6}, {"buckets": 1 << 40}],
     ids=["a-million-labels", "2^40-buckets"],
@@ -993,6 +1045,19 @@ def test_refine_with_a_model_that_knows_no_type5_label_exits_2(workspace, capsys
     assert not decisions.exists()
 
 
+@pytest.mark.parametrize("text", ["", "   "], ids=["empty", "spaces"])
+def test_refine_with_model_on_blank_type5_text_exits_2(workspace, capsys, text):
+    # a ledger defect: the model cannot classify a blank text
+    def edit(row):
+        row["pred"]["text"] = text
+
+    code = _run_on_edited_type5_row(workspace, capsys, "refine", edit)
+    err = _assert_parse_error(code, capsys)
+    first = _report_t5_ids(workspace / "report.json")[0]
+    assert f"Type-5 record {first!r} has a blank prediction text" in err
+    assert not (workspace / "out.decisions.jsonl").exists()
+
+
 @pytest.mark.parametrize("command", ["refine", "judge"])
 @pytest.mark.parametrize("content", ["[1, 2]", "{not json"])
 def test_malformed_report_exits_2(workspace, capsys, command, content):
@@ -1006,6 +1071,21 @@ def test_malformed_report_exits_2(workspace, capsys, command, content):
     )
     assert main(argv) == EXIT_PARSE
     assert "report" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["refine", "judge"])
+def test_report_holding_a_lone_surrogate_exits_2(workspace, capsys, command):
+    report = workspace / "bad.json"
+    # json.dumps escapes the surrogate as \ud800, which JSON allows
+    report.write_text(json.dumps({"note": "\ud800"}))
+    other = workspace / "x.jsonl"
+    argv = (
+        ["refine", str(report), "--external-decisions", str(other)]
+        if command == "refine"
+        else ["judge", str(report), str(other)]
+    )
+    err = _assert_parse_error(main(argv), capsys)
+    assert "report holds a lone UTF-16 surrogate" in err
 
 
 @pytest.mark.parametrize("command", ["refine", "judge"])

@@ -469,6 +469,11 @@ def test_build_document_rejects_overlapping_same_source_spans():
         build_document("d", [["a", "b", "c"]], gold=[(0, 2, "A"), (1, 3, "B")])
 
 
+def test_build_document_rejects_a_span_outside_the_document():
+    with pytest.raises(ParseError, match=r"span \[1, 3\) outside document 'd' bounds \[0, 2\)"):
+        build_document("d", [["a", "b"]], gold=[(1, 3, "X")])
+
+
 def test_document_sorts_each_side_and_rejects_overlap():
     late, early = mentions("d", [(2, 3, "A"), (0, 1, "A")])
     doc = Document("d", ("a", "b", "c"), (0,), [late, early], [])

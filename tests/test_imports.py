@@ -18,7 +18,11 @@ included, is an error unless it sits under ``if TYPE_CHECKING:``.
 the package, and none of ``statistics``, ``hashlib``, ``logging`` or numpy:
 ``cli`` imports the other submodules only for the commands that run them,
 binding the names it takes from them (its ``_LAZY`` table) on first need,
-and each standard-library module is imported where it is used.
+and each standard-library module is imported where it is used. Each row of
+``cli._COMMANDS`` names the ``_LAZY`` modules whose names its runner reads,
+directly or through the module's functions it calls: a row that missed one
+would pass in-process tests once another command had bound that module, and
+raise ``NameError`` only in a fresh interpreter.
 
 A class built once per mention, record or input line is a
 ``@dataclass(slots=True)`` without ``frozen=True``: a frozen dataclass
@@ -191,6 +195,36 @@ def test_every_lazy_cli_name_exists_in_its_module_and_is_used():
         source = importlib.import_module(f"entmatch.{module}")
         assert [n for n in names if not hasattr(source, n)] == [], module
         assert [n for n in names if n not in used] == [], module
+
+
+def test_each_command_row_names_the_lazy_modules_its_runner_reads():
+    cli = importlib.import_module("entmatch.cli")
+    tree = ast.parse(Path(cli.__file__).read_text("utf-8"))
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+    def names_read(runner: str) -> set[str]:
+        """Names read in the body of ``runner`` and of the functions it calls."""
+        names: set[str] = set()
+        todo, seen = [runner], set()
+        while todo:
+            name = todo.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            read = {
+                node.id
+                for statement in functions[name].body
+                for node in ast.walk(statement)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            names |= read
+            todo += read & functions.keys()
+        return names
+
+    for command, (_, _, runner, modules) in cli._COMMANDS.items():
+        read = names_read(runner.__name__)
+        lazy = {cli._LAZY_MODULE[name] for name in read if name in cli._LAZY_MODULE}
+        assert lazy == set(modules), command
 
 
 PER_RECORD_CLASSES = [

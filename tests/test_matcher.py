@@ -160,6 +160,13 @@ def test_overlapping_input_spans_rejected():
         classify_document(gold, [])
 
 
+def test_mentions_of_two_documents_rejected():
+    gold = mentions("d", [(0, 1, "A")])
+    pred = mentions("e", [(0, 1, "A")])
+    with pytest.raises(ValueError, match=r"mentions from multiple documents: \['d', 'e'\]"):
+        classify_document(gold, pred)
+
+
 def test_token_overlap_is_whole_tokens():
     def m(span):
         return mentions("d", [(*span, "A")])[0]
