@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage, 2 parse error, 3 alignment error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import importlib
 import json
@@ -415,6 +416,18 @@ def _import_numpy_single_threaded() -> None:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
 
+# The argparse default of each option that sets a config field: one left out
+# is absent from the namespace, so the config class states its default.
+_FIELD_DEFAULT = argparse.SUPPRESS
+
+
+def _config(cls, args: argparse.Namespace, **fixed):
+    """``cls`` built from ``fixed`` and the options given for its fields."""
+    given = vars(args)
+    options = {f.name: given[f.name] for f in dataclasses.fields(cls) if f.name in given}
+    return cls(**options, **fixed)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -451,22 +464,13 @@ def _cmd_eval(args: argparse.Namespace) -> None:
 
 
 def _cmd_build_clsdata(args: argparse.Namespace) -> None:
-    _check_outputs([args.out], [args.train, args.chunks, args.stopwords])
+    _check_outputs([args.out], [args.train, args.chunks, args.stopword_file])
     corpus, _ = _load_corpus(args.train, args.format, args.scheme)
-    stopwords = None
-    if args.stopwords:
-        stopwords = frozenset(
-            w.strip().lower()
-            for w in decode_utf8(
-                Path(args.stopwords).read_bytes(), "stopword file"
-            ).split("\n")
-            if w.strip()
-        )
-    config = BuilderConfig(
-        seed=args.seed,
-        max_chunk_tokens=args.max_chunk_tokens,
-        **({"stopwords": stopwords} if stopwords is not None else {}),
-    )
+    fixed = {}
+    if args.stopword_file:
+        words = ingest_external_chunks(args.stopword_file, "stopword file")
+        fixed["stopwords"] = frozenset(w.lower() for w in words)
+    config = _config(BuilderConfig, args, **fixed)
     external = ingest_external_chunks(args.chunks) if args.chunks else None
     pairs = build_training_set(corpus, config, external)
     write_pairs(pairs, args.out)
@@ -477,12 +481,7 @@ def _cmd_build_clsdata(args: argparse.Namespace) -> None:
 def _cmd_train_cls(args: argparse.Namespace) -> None:
     _check_outputs([args.out], [args.pairs])
     pairs = read_pairs(args.pairs)
-    config = TrainConfig(
-        seed=args.seed,
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        buckets=args.buckets,
-    )
+    config = _config(TrainConfig, args)
     _import_numpy_single_threaded()
     model = train(pairs, config)
     model.save(args.out)
@@ -605,17 +604,7 @@ def _cmd_perturb(args: argparse.Namespace) -> None:
     expected_path = prefix.with_name(prefix.name + ".expected.jsonl")
     _check_outputs([gold_path, pred_path, expected_path], [args.gold])
     corpus, _ = _load_corpus(args.gold, args.format, args.scheme)
-    plan = PerturbationPlan(
-        seed=args.seed,
-        extend_rate=args.extend_rate,
-        extend_tokens=args.extend_tokens,
-        shrink_rate=args.shrink_rate,
-        shrink_tokens=args.shrink_tokens,
-        split_rate=args.split_rate,
-        relabel_rate=args.relabel_rate,
-        drop_rate=args.drop_rate,
-        insert_rate=args.insert_rate,
-    )
+    plan = _config(PerturbationPlan, args)
     pred, expected = perturb(corpus, plan)
     write_lines([serialize_standoff(corpus)], gold_path)
     write_lines([serialize_standoff(pred)], pred_path)
@@ -646,19 +635,20 @@ def _eval_arguments(sub: argparse.ArgumentParser) -> None:
 def _build_clsdata_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("train")
     _add_format_flags(sub)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--max-chunk-tokens", type=int, default=6)
+    sub.add_argument("--seed", type=int, default=_FIELD_DEFAULT)
+    sub.add_argument("--max-chunk-tokens", type=int, default=_FIELD_DEFAULT)
     sub.add_argument("--chunks", default=None, help="precomputed chunk file, one per line")
-    sub.add_argument("--stopwords", default=None, help="stopword file, one word per line")
+    sub.add_argument("--stopwords", dest="stopword_file", metavar="STOPWORDS",
+                     default=None, help="stopword file, one word per line")
     sub.add_argument("--out", default="pairs.jsonl")
 
 
 def _train_cls_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("pairs")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--epochs", type=int, default=5)
-    sub.add_argument("--learning-rate", type=float, default=0.5)
-    sub.add_argument("--buckets", type=int, default=1 << 20)
+    sub.add_argument("--seed", type=int, default=_FIELD_DEFAULT)
+    sub.add_argument("--epochs", type=int, default=_FIELD_DEFAULT)
+    sub.add_argument("--learning-rate", type=float, default=_FIELD_DEFAULT)
+    sub.add_argument("--buckets", type=int, default=_FIELD_DEFAULT)
     sub.add_argument("--out", default="model.entcls")
 
 
@@ -686,15 +676,15 @@ def _judge_arguments(sub: argparse.ArgumentParser) -> None:
 def _perturb_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("gold")
     _add_format_flags(sub)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--extend-rate", type=float, default=0.0)
-    sub.add_argument("--extend-tokens", type=int, default=1)
-    sub.add_argument("--shrink-rate", type=float, default=0.0)
-    sub.add_argument("--shrink-tokens", type=int, default=1)
-    sub.add_argument("--split-rate", type=float, default=0.0)
-    sub.add_argument("--relabel-rate", type=float, default=0.0)
-    sub.add_argument("--drop-rate", type=float, default=0.0)
-    sub.add_argument("--insert-rate", type=float, default=0.0)
+    sub.add_argument("--seed", type=int, default=_FIELD_DEFAULT)
+    sub.add_argument("--extend-rate", type=float, default=_FIELD_DEFAULT)
+    sub.add_argument("--extend-tokens", type=int, default=_FIELD_DEFAULT)
+    sub.add_argument("--shrink-rate", type=float, default=_FIELD_DEFAULT)
+    sub.add_argument("--shrink-tokens", type=int, default=_FIELD_DEFAULT)
+    sub.add_argument("--split-rate", type=float, default=_FIELD_DEFAULT)
+    sub.add_argument("--relabel-rate", type=float, default=_FIELD_DEFAULT)
+    sub.add_argument("--drop-rate", type=float, default=_FIELD_DEFAULT)
+    sub.add_argument("--insert-rate", type=float, default=_FIELD_DEFAULT)
     sub.add_argument("--out-prefix", required=True)
 
 

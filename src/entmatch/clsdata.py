@@ -155,9 +155,9 @@ def sample_other(
     return [LabeledText(text, OTHER_LABEL, origin) for text in rng.sample(list(candidates), k)]
 
 
-def ingest_external_chunks(path: str | Path) -> list[str]:
-    """Read precomputed chunk candidates, one per line; blank lines skipped."""
-    text = decode_utf8(Path(path).read_bytes(), "chunk file")
+def ingest_external_chunks(path: str | Path, what: str = "chunk file") -> list[str]:
+    """The stripped lines of a ``what``, one chunk or word each; blank lines skipped."""
+    text = decode_utf8(Path(path).read_bytes(), what)
     return [line.strip() for line in text.split("\n") if line.strip()]
 
 

@@ -77,13 +77,14 @@ _JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def decode_utf8(content: bytes | str, what: str) -> str:
-    """The text of an input file; bytes that are not UTF-8 raise ``ParseError``."""
-    if isinstance(content, str):
-        return content
-    try:
-        return content.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{what} is not valid UTF-8: {exc}") from None
+    """The text of an input file without one leading byte order mark; bytes
+    that are not UTF-8 raise ``ParseError``."""
+    if not isinstance(content, str):
+        try:
+            content = content.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{what} is not valid UTF-8: {exc}") from None
+    return content.removeprefix("\ufeff")
 
 
 def scan_jsonl(text: str) -> Iterator[tuple[int, str, dict | None]]:
@@ -358,8 +359,9 @@ def parse_iob(
     Lines hold ``token<TAB>tag`` (or single-space separated); blank lines
     separate sentences; ``-DOCSTART- <doc_id>`` starts a new document.
     Files without any ``-DOCSTART-`` marker become a single document
-    ``doc0``. Orphan ``I-`` tags under IOB2 are repaired to ``B-`` with a
-    logged warning; under IOB1 a fresh ``I-`` legitimately opens an entity.
+    ``doc0``. Under either scheme an ``I-`` that continues no open entity of
+    its label opens one, so IOB1 and IOB2 decode the same spans; IOB2 also
+    logs a warning for each such repair.
 
     Each line is read once and its tag decoded as it is read; a document
     is built when the next ``-DOCSTART-`` or the end of the file closes

@@ -1,9 +1,10 @@
 """Mutation check: every mutant of the matcher's spine, of scoring, of the
 classifier's featurizer and training loop, of its model's storage, of
-the line readers' and writers' plain-line paths, of the JSON gate, of
-the model commands' numpy import, of the CLI's command table and lazy name
-binding, and of the guards on model headers, reports and Type-5 texts must
-fail its tests.
+the line readers' and writers' plain-line paths, of the standoff reader's
+checks and the flatness check, of the JSON gate and the byte order mark,
+of the model commands' numpy import, of the CLI's command table, lazy name
+binding and config options, and of the guards on model headers, bucket
+counts, reports and Type-5 texts must fail its tests.
 
     python3 tests/mutants.py            # run every mutant
     python3 tests/mutants.py NAME ...   # run the named mutants only
@@ -81,6 +82,16 @@ _IOB_ORACLE = "tests/test_corpus.py::test_iob_reader_matches_the_two_pass_oracle
 _JSONL_ORACLE = "tests/test_readers.py::test_jsonl_reader_matches_the_line_by_line_oracle"
 _LEDGER_ORACLE = "tests/test_readers.py::test_ledger_reader_matches_the_line_by_line_oracle"
 _JUDGEMENT_ORACLE = "tests/test_readers.py::test_judgement_reader_matches_the_line_by_line_oracle"
+_STANDOFF_ORACLE = "tests/test_corpus.py::test_standoff_reader_matches_the_per_item_oracle"
+# the tests that the CLI builds each config from the options given, and of
+# every input file kind read with a byte order mark
+_CONFIG_OF_OPTIONS = "tests/test_cli.py::test_commands_pass_the_config_of_the_options_given"
+_BOM_TESTS = (
+    "tests/test_cli.py::test_eval_reads_an_iob_file_with_a_byte_order_mark_as_without_it",
+    "tests/test_cli.py::test_eval_reads_a_standoff_file_with_a_byte_order_mark_as_without_it",
+    "tests/test_cli.py::test_build_clsdata_reads_a_stopword_file_with_a_byte_order_mark_as_without_it",
+    "tests/test_cli.py::test_judge_reads_a_tsv_judgement_file_with_a_byte_order_mark_as_without_it",
+)
 
 MUTANTS = [
     Mutant(
@@ -488,6 +499,96 @@ MUTANTS = [
         '            raise ParseError(f"Type-5 record {blank[0]!r} has a blank prediction text")\n',
         "",
         ("tests/test_cli.py::test_refine_with_model_on_blank_type5_text_exits_2",),
+    ),
+    Mutant(
+        "config-ignores-the-options",
+        "    return cls(**options, **fixed)\n",
+        "    return cls(**fixed)\n",
+        (_CONFIG_OF_OPTIONS,),
+    ),
+    Mutant(
+        "epochs-given-a-cli-default",
+        '    sub.add_argument("--epochs", type=int, default=_FIELD_DEFAULT)\n',
+        '    sub.add_argument("--epochs", type=int, default=4)\n',
+        (
+            "tests/test_cli.py::test_config_options_have_no_cli_default",
+            _CONFIG_OF_OPTIONS,
+        ),
+    ),
+    Mutant(
+        "byte-order-mark-kept",
+        '    return content.removeprefix("\\ufeff")\n',
+        "    return content\n",
+        _BOM_TESTS,
+    ),
+    Mutant(
+        "iob1-logs-repairs",
+        "            if inside and iob2:\n",
+        "            if inside:\n",
+        ("tests/test_corpus.py::test_iob_schemes_decode_the_same_spans_and_only_iob2_logs_repairs",),
+    ),
+    Mutant(
+        "standoff-without-whitespace-token-check",
+        "        or any(map(str.isspace, token_texts))\n",
+        "",
+        (_STANDOFF_ORACLE,),
+    ),
+    Mutant(
+        "standoff-without-empty-token-check",
+        '        or "" in token_texts\n',
+        "",
+        (_STANDOFF_ORACLE,),
+    ),
+    Mutant(
+        "standoff-accepts-capitalised-gold",
+        '        if source_value == "gold":\n',
+        '        if source_value in ("gold", "Gold"):\n',
+        ("tests/test_corpus.py::test_standoff_source_is_matched_exactly",),
+    ),
+    Mutant(
+        "standoff-label-unstripped",
+        '        name = label.strip() if isinstance(label, str) else ""\n',
+        '        name = label if isinstance(label, str) else ""\n',
+        (_STANDOFF_ORACLE,),
+    ),
+    Mutant(
+        "is-int-accepts-booleans",
+        "    return type(value) is int\n",
+        "    return isinstance(value, int)\n",
+        (_STANDOFF_ORACLE,),
+    ),
+    Mutant(
+        "standoff-accepts-float-sentence-starts",
+        "        or not all(map(is_int, starts))\n",
+        "        or not all(is_int(s) or type(s) is float for s in starts)\n",
+        (_STANDOFF_ORACLE,),
+    ),
+    Mutant(
+        "check-flat-refuses-adjacent-spans",
+        "        if b.start < a.end:\n",
+        "        if b.start <= a.end:\n",
+        ("tests/test_cli.py::test_pipeline_output_files_are_pinned",),
+    ),
+    Mutant(
+        "check-flat-unsorted",
+        "    ordered = sorted(mentions, key=_START_END)\n",
+        "    ordered = list(mentions)\n",
+        ("tests/test_corpus.py::test_document_sorts_each_side_and_rejects_overlap",),
+    ),
+    Mutant(
+        "train-without-bucket-bound",
+        "    if config.buckets > _MAX_BUCKETS:\n",
+        "    if False:\n",
+        (
+            "tests/test_classifier.py::test_bucket_count_above_2_to_the_31_is_refused_before_featurizing",
+            "tests/test_cli.py::test_train_cls_with_too_many_buckets_exits_1_before_training",
+        ),
+    ),
+    Mutant(
+        "model-load-without-bucket-bound",
+        "        if buckets > _MAX_BUCKETS:\n",
+        "        if False:\n",
+        ("tests/test_classifier.py::test_header_with_more_than_2_to_the_31_buckets_is_rejected",),
     ),
 ]
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import io
@@ -30,15 +32,19 @@ from entmatch.cli import (
     build_parser,
     main,
 )
+from entmatch.classifier import TrainConfig
+from entmatch.clsdata import BuilderConfig
 from entmatch.corpus import (
     Corpus,
     Document,
     ParseError,
     Source,
     decode_json,
+    parse_iob,
     serialize_standoff,
     write_jsonl,
 )
+from entmatch.perturb import PerturbationPlan
 from oracle import random_paired_corpus
 
 LIVER_TOKENS = "1cm cyst in the right lobe of the liver".split()
@@ -744,6 +750,180 @@ def test_build_clsdata_non_utf8_word_file_exits_2(workspace, capsys, flag):
         ]
     )
     assert "UTF-8" in _assert_parse_error(code, capsys)
+
+
+# ---------------------------------------------------------------------------
+# each config class states the defaults of its options
+
+# the options that set config fields, by command: the config class, the
+# function the command passes the config to, and a value for each field
+_CONFIG_OPTIONS = {
+    "build-clsdata": (BuilderConfig, "build_training_set", {"seed": 3, "max_chunk_tokens": 4}),
+    "train-cls": (
+        TrainConfig,
+        "train",
+        {"seed": 7, "epochs": 2, "learning_rate": 0.25, "buckets": 64},
+    ),
+    "perturb": (
+        PerturbationPlan,
+        "perturb",
+        {
+            "seed": 5, "extend_rate": 0.1, "extend_tokens": 2, "shrink_rate": 0.1,
+            "shrink_tokens": 2, "split_rate": 0.1, "relabel_rate": 0.1,
+            "drop_rate": 0.1, "insert_rate": 0.2,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(_CONFIG_OPTIONS))
+def test_config_options_have_no_cli_default(command):
+    cls, _, values = _CONFIG_OPTIONS[command]
+    commands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    actions = {a.dest: a for a in commands.choices[command]._actions}
+    fields = {f.name for f in dataclasses.fields(cls)}
+    assert fields & actions.keys() == values.keys()
+    for name in values:
+        assert actions[name].default is argparse.SUPPRESS, name
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["left-out", "given"])
+@pytest.mark.parametrize("command", list(_CONFIG_OPTIONS))
+def test_commands_pass_the_config_of_the_options_given(
+    workspace, monkeypatch, command, given
+):
+    cls, function, values = _CONFIG_OPTIONS[command]
+    monkeypatch.chdir(workspace)
+    assert main(["build-clsdata", "gold.iob", "--out", "pairs.jsonl"]) == EXIT_OK
+    (workspace / "stopwords.txt").write_text("The\n of \n\n")
+    configs = []
+    wrapped = getattr(entmatch.cli, function)
+
+    def wrapper(data, config, *rest):
+        configs.append(config)
+        return wrapped(data, config, *rest)
+
+    monkeypatch.setattr(entmatch.cli, function, wrapper)
+    argv = {
+        "build-clsdata": ["gold.iob", "--out", "built.jsonl"],
+        "train-cls": ["pairs.jsonl", "--out", "model.entcls"],
+        "perturb": ["gold.iob", "--out-prefix", "synthetic"],
+    }[command]
+    options = [
+        part
+        for name, value in values.items()
+        for part in (f"--{name.replace('_', '-')}", str(value))
+    ]
+    expected = dict(values)
+    if command == "build-clsdata":
+        options += ["--stopwords", "stopwords.txt"]
+        expected["stopwords"] = frozenset({"the", "of"})
+    assert main([command, *argv, *(options if given else [])]) == EXIT_OK
+    assert configs == [cls(**expected) if given else cls()]
+
+
+# ---------------------------------------------------------------------------
+# a byte order mark
+
+_BOM = b"\xef\xbb\xbf"
+
+
+def _runs_with_and_without_bom(root, monkeypatch, files, bom_file, *argvs):
+    """Run ``argvs`` in two directories holding ``files``, the second with a
+    byte order mark before ``bom_file``: each run's exit codes and the bytes
+    of every file the commands wrote."""
+    runs = []
+    for name, bom in (("plain", b""), ("bom", _BOM)):
+        run = root / name
+        run.mkdir()
+        for file, text in files.items():
+            (run / file).write_bytes((bom if file == bom_file else b"") + text.encode())
+        monkeypatch.chdir(run)
+        codes = [main(list(argv)) for argv in argvs]
+        written = {p.name: p.read_bytes() for p in run.iterdir() if p.name not in files}
+        runs.append((codes, written))
+    return runs
+
+
+def _without_inputs(report: bytes) -> dict:
+    doc = json.loads(report)
+    del doc["inputs"]
+    return doc
+
+
+_IOB_WITHOUT_DOCSTART = "".join(f"{tok}\tO\n" for tok in LIVER_TOKENS[:3])
+
+
+@pytest.mark.parametrize(
+    "gold, pred",
+    [(GOLD_IOB, PRED_IOB), (_IOB_WITHOUT_DOCSTART, _IOB_WITHOUT_DOCSTART)],
+    ids=["docstart-first", "token-first"],
+)
+def test_eval_reads_an_iob_file_with_a_byte_order_mark_as_without_it(
+    tmp_path, monkeypatch, gold, pred
+):
+    argv = ["eval", "gold.iob", "pred.iob", "--out", "report.json"]
+    plain, bom = _runs_with_and_without_bom(
+        tmp_path, monkeypatch, {"gold.iob": gold, "pred.iob": pred}, "gold.iob", argv
+    )
+    assert plain[0] == bom[0] == [EXIT_OK]
+    report = bom[1].pop("report.json")
+    assert _without_inputs(report) == _without_inputs(plain[1].pop("report.json"))
+    assert bom[1] == plain[1]
+    # the digest is of the bytes read, the mark included
+    digest = hashlib.sha256(_BOM + gold.encode()).hexdigest()
+    assert json.loads(report)["inputs"]["gold"]["sha256"] == digest
+
+
+def test_eval_reads_a_standoff_file_with_a_byte_order_mark_as_without_it(
+    tmp_path, monkeypatch
+):
+    files = {
+        "gold.jsonl": serialize_standoff(parse_iob(GOLD_IOB)),
+        "pred.jsonl": serialize_standoff(parse_iob(PRED_IOB, source=Source.PREDICTED)),
+    }
+    argv = ["eval", "gold.jsonl", "pred.jsonl", "--format", "standoff", "--out", "r.json"]
+    plain, bom = _runs_with_and_without_bom(tmp_path, monkeypatch, files, "gold.jsonl", argv)
+    assert plain[0] == bom[0] == [EXIT_OK]
+    assert _without_inputs(bom[1].pop("r.json")) == _without_inputs(plain[1].pop("r.json"))
+    assert bom[1] == plain[1]
+
+
+def test_build_clsdata_reads_a_stopword_file_with_a_byte_order_mark_as_without_it(
+    tmp_path, monkeypatch
+):
+    # "the" is a stopword only if the mark is not read as part of it
+    files = {
+        "train.iob": "the\tO\nward\tO\nfever\tB-problem\nthe\tO\nclinic\tO\ncough\tB-problem\n",
+        "stopwords.txt": "the\nliver\n",
+    }
+    argv = ["build-clsdata", "train.iob", "--stopwords", "stopwords.txt", "--out", "p.jsonl"]
+    plain, bom = _runs_with_and_without_bom(tmp_path, monkeypatch, files, "stopwords.txt", argv)
+    assert plain == bom
+    texts = {json.loads(line)["text"] for line in plain[1]["p.jsonl"].splitlines()}
+    assert plain[0] == [EXIT_OK] and texts == {"fever", "cough", "ward", "clinic"}
+
+
+def test_judge_reads_a_tsv_judgement_file_with_a_byte_order_mark_as_without_it(
+    workspace, tmp_path, monkeypatch
+):
+    _, out = _eval(workspace)
+    files = {
+        "gold.iob": GOLD_IOB,
+        "pred.iob": PRED_IOB,
+        "judgements.tsv": "".join(f"{rid}\t4\n" for rid in _report_t5_ids(out)),
+    }
+    argvs = (
+        ["eval", "gold.iob", "pred.iob", "--out", "report.json"],
+        ["judge", "report.json", "judgements.tsv", "--out", "judged.json"],
+    )
+    plain, bom = _runs_with_and_without_bom(
+        tmp_path, monkeypatch, files, "judgements.tsv", *argvs
+    )
+    assert plain == bom
+    assert plain[0] == [EXIT_OK, EXIT_OK]
 
 
 def test_refine_with_model_appends_decisions(workspace, capsys):

@@ -122,6 +122,38 @@ def test_entity_state_resets_at_sentence_boundary():
     assert _spans(corpus) == [(0, 1, "A"), (1, 2, "A")]
 
 
+_SCHEME_LINES = st.sampled_from(("x\tO", "x\tB-A", "x\tI-A", "x\tB-B", "x\tI-B", ""))
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(lines=st.lists(_SCHEME_LINES, max_size=20))
+def test_iob_schemes_decode_the_same_spans_and_only_iob2_logs_repairs(caplog, lines):
+    # an I- tag is an orphan where it continues no open entity of its label
+    orphans, open_label = 0, None
+    for line in lines:
+        tag = line.partition("\t")[2]
+        label = tag[2:] or None
+        orphans += tag.startswith("I-") and label != open_label
+        open_label = label
+    content = "\n".join(lines)
+    read = {}
+    for scheme in TagScheme:
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="entmatch.corpus"):
+            corpus = parse_iob(content, scheme)
+        read[scheme] = corpus, [r.getMessage() for r in caplog.records]
+    (iob1, iob1_warnings), (iob2, iob2_warnings) = read[TagScheme.IOB1], read[TagScheme.IOB2]
+    assert iob1 == iob2
+    assert serialize_standoff(iob1) == serialize_standoff(iob2)
+    assert iob1_warnings == []
+    assert len(iob2_warnings) == orphans
+    assert all("orphan tag I-" in message for message in iob2_warnings)
+
+
 @st.composite
 def wellformed_tag_sequences(draw):
     labels = ("A", "B", "longname")
@@ -272,6 +304,16 @@ def test_standoff_unknown_source_rejected():
         '[{"start": 0, "end": 1, "label": "X", "source": "system"}]}'
     )
     with pytest.raises(ParseError, match="invalid entity source"):
+        parse_standoff(line)
+
+
+@pytest.mark.parametrize("source", ["Gold", "GOLD", "Predicted", " gold"])
+def test_standoff_source_is_matched_exactly(source):
+    line = (
+        '{"doc_id": "d", "tokens": ["a"], "entities": '
+        f'[{{"start": 0, "end": 1, "label": "X", "source": "{source}"}}]}}'
+    )
+    with pytest.raises(ParseError, match=f"invalid entity source '{source}'"):
         parse_standoff(line)
 
 

@@ -32,6 +32,11 @@ instance about three times as costly to build.
 Every verdict source (classifier, external decisions, expert scores) must
 cover every Type-5 record, and ``metrics.check_covered`` is the one check
 of that: no other function raises ``UncoveredRecordsError``.
+
+Each row of the mutation table in ``tests/mutants.py`` names a snippet that
+occurs exactly once under ``src/`` and killers that are test functions of
+their files, so an edit that makes a row stale fails here, not only in the
+minutes-long mutation run.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from typing import Iterator
 import pytest
 
 import entmatch
+from mutants import MUTANTS, ROOT, _locate
 
 ALL_MODULES = sorted(Path(entmatch.__file__).parent.glob("*.py"))
 
@@ -278,3 +284,13 @@ def test_uncovered_records_are_raised_in_one_function():
             owner = max(owners, key=lambda f: f.lineno).name if owners else "<module>"
             raisers.append(f"{path.stem}.{owner}")
     assert raisers == ["metrics.check_covered"]
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
+def test_mutation_row_names_one_snippet_and_defined_killers(mutant):
+    assert _locate(mutant.snippet)[1] == 1
+    for killer in mutant.killers:
+        file, _, test = killer.split("[")[0].partition("::")
+        tree = ast.parse((ROOT / file).read_text("utf-8"))
+        defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+        assert test in defined, killer
